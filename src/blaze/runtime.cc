@@ -106,13 +106,17 @@ void BlazeRuntime::RunBatch(const std::string& accel_id,
   const auto run = [&] {
     // Re-serialize before every attempt: a failed run may have partially
     // mutated the output/accumulator buffers, and the JVM side repacks
-    // when it re-submits a batch.
+    // when it re-submits a batch. Only the live records' task-loop
+    // iterations run, so inputs are packed to their span, not the full
+    // batch; the cost model still charges a full-batch invocation.
     buffers.clear();
-    SerializeBatch(plan, input, first, count, buffers, broadcast);
+    const auto live = static_cast<std::int64_t>(count);
+    SerializeBatch(plan, input, first, count, buffers, broadcast,
+                   static_cast<std::size_t>(evaluator.LiveRows(live)));
     total.serialize_us += per_invocation.serialize_us;
     evaluator.Run(
         {{"N", jvm::Value::OfInt(static_cast<std::int32_t>(count))}},
-        buffers);
+        buffers, live);
   };
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (attempt == 1) {

@@ -98,9 +98,12 @@ SerializationPlan MakeSerializationPlan(const kir::Kernel& kernel) {
 
 void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                     std::size_t first_record, std::size_t count,
-                    kir::BufferMap& buffers, const Dataset* broadcast) {
-  S2FA_REQUIRE(count <= static_cast<std::size_t>(plan.batch),
-               "batch overflow: " << count << " > " << plan.batch);
+                    kir::BufferMap& buffers, const Dataset* broadcast,
+                    std::optional<std::size_t> rows) {
+  const std::size_t span = rows.value_or(static_cast<std::size_t>(plan.batch));
+  S2FA_REQUIRE(count <= span && span <= static_cast<std::size_t>(plan.batch),
+               "batch overflow: " << count << " records, " << span
+                                  << " rows, batch " << plan.batch);
   S2FA_REQUIRE(first_record + count <= dataset.num_records(),
                "record range out of bounds");
   for (const auto& entry : plan.entries) {
@@ -123,9 +126,8 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                            << entry.per_task);
     auto& buf = buffers[entry.buffer];
     const std::size_t stride = static_cast<std::size_t>(entry.per_task);
-    const std::size_t total = static_cast<std::size_t>(plan.batch) * stride;
     const std::size_t used = count * stride;
-    buf.resize(total);
+    buf.resize(span * stride);
     const jvm::Value* src = col.data.data() + first_record * stride;
     if (SameElementKind(col.element, entry.element)) {
       // Zero-copy fast path: the record range is one contiguous slice of
@@ -139,7 +141,7 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
         buf[e] = CoerceToElement(entry.element, src[e]);
       }
     }
-    // Short final batches are zero-padded to the full batch size.
+    // Rows past the live records (up to the span) are zero padding.
     std::fill(buf.begin() + static_cast<std::ptrdiff_t>(used), buf.end(),
               jvm::DefaultValue(entry.element));
   }

@@ -8,6 +8,7 @@
 // as a documentation artifact and exercised by examples.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,14 +44,17 @@ struct SerializationPlan {
 SerializationPlan MakeSerializationPlan(const kir::Kernel& kernel);
 
 // Packs records [first_record, first_record + count) of `dataset` into the
-// kernel input buffers. Short final batches are zero-padded to the batch
-// size (the accelerator always processes a full batch). `broadcast` must be
-// a one-record dataset providing every broadcast field the plan names (may
+// kernel input buffers. Each per-task input holds `rows` rows: the live
+// records, then zero padding. `rows` is the evaluator's LiveRows(count) —
+// the span the live task-loop iterations touch — and defaults to the full
+// batch size (what a full-batch run reads). `broadcast` must be a
+// one-record dataset providing every broadcast field the plan names (may
 // be null when the plan has none).
 void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                     std::size_t first_record, std::size_t count,
                     kir::BufferMap& buffers,
-                    const Dataset* broadcast = nullptr);
+                    const Dataset* broadcast = nullptr,
+                    std::optional<std::size_t> rows = std::nullopt);
 
 // Unpacks output buffers into `out` columns at the same record range; the
 // columns must exist and be pre-sized.

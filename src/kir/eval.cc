@@ -196,10 +196,54 @@ Value ApplyUnary(UnaryOp op, TypeKind operand, const Value& a) {
 }  // namespace
 
 // --------------------------------------------------------------------------
+// TaskSpan: the live-task contract.
+// --------------------------------------------------------------------------
+
+TaskSpan::TaskSpan(const Kernel& kernel) {
+  if (!kernel.body || kernel.task_loop_id < 0) return;
+  loop_ = FindLoop(kernel.body, kernel.task_loop_id);
+  if (loop_ == nullptr) return;
+  // The template batch is the row count of the per-task interface buffers
+  // (broadcast inputs and reduce outputs hold one row, so take the max).
+  std::int64_t batch = 0;
+  for (const auto& b : kernel.buffers) {
+    if (b.kind == BufferKind::kLocal || b.per_task <= 0) continue;
+    batch = std::max(batch, b.length / b.per_task);
+  }
+  const std::int64_t trip = loop_->trip_count();
+  batch_ = std::max(batch, trip);
+  if (batch % trip != 0) return;
+  // One task per iteration (the b2c template), or one tile per iteration
+  // after Merlin tiling: the body is then exactly the point loop.
+  const std::int64_t per_iter = batch / trip;
+  const Stmt& body = *loop_->body();
+  const bool tiled = body.kind() == StmtKind::kBlock &&
+                     body.stmts().size() == 1 &&
+                     body.stmts()[0]->kind() == StmtKind::kFor &&
+                     body.stmts()[0]->trip_count() == per_iter;
+  if (per_iter == 1 || tiled) tasks_per_iter_ = per_iter;
+}
+
+std::int64_t TaskSpan::Iterations(
+    std::optional<std::int64_t> live_tasks) const {
+  if (loop_ == nullptr) return 0;
+  if (!live_tasks || tasks_per_iter_ == 0) return loop_->trip_count();
+  S2FA_REQUIRE(*live_tasks >= 0 && *live_tasks <= batch_,
+               "live tasks " << *live_tasks << " outside [0, " << batch_
+                             << "]");
+  return (*live_tasks + tasks_per_iter_ - 1) / tasks_per_iter_;
+}
+
+std::int64_t TaskSpan::LiveRows(std::int64_t live_tasks) const {
+  if (tasks_per_iter_ == 0) return batch_;
+  return Iterations(live_tasks) * tasks_per_iter_;
+}
+
+// --------------------------------------------------------------------------
 // Evaluator: slot-resolved hot path.
 // --------------------------------------------------------------------------
 
-Evaluator::Evaluator(const Kernel& kernel) : kernel_(kernel) {
+Evaluator::Evaluator(const Kernel& kernel) : kernel_(kernel), span_(kernel) {
   kernel.Validate();
   for (std::size_t i = 0; i < kernel_.buffers.size(); ++i) {
     // Buffer names are unique (Validate), so id == declaration index.
@@ -333,7 +377,9 @@ std::int32_t Evaluator::CompileStmt(const Stmt& stmt) {
       break;
   }
   rstmts_.push_back(std::move(s));
-  return static_cast<std::int32_t>(rstmts_.size() - 1);
+  const auto idx = static_cast<std::int32_t>(rstmts_.size() - 1);
+  if (&stmt == span_.loop()) task_stmt_ = idx;
+  return idx;
 }
 
 Value Evaluator::EvalExpr(std::int32_t idx) {
@@ -444,8 +490,9 @@ void Evaluator::ExecStmt(std::int32_t idx) {
       break;
     case StmtKind::kFor: {
       const auto slot = static_cast<std::size_t>(s.slot);
-      if (s.trip > 0) bound_[slot] = 1;
-      for (std::int64_t i = 0; i < s.trip; ++i) {
+      const std::int64_t trip = idx == task_stmt_ ? task_trip_ : s.trip;
+      if (trip > 0) bound_[slot] = 1;
+      for (std::int64_t i = 0; i < trip; ++i) {
         slots_[slot] = Value::OfInt(static_cast<std::int32_t>(i));
         ExecStmt(s.body);
       }
@@ -458,8 +505,10 @@ void Evaluator::ExecStmt(std::int32_t idx) {
 }
 
 void Evaluator::Run(const std::map<std::string, Value>& scalars,
-                    BufferMap& buffers) {
+                    BufferMap& buffers,
+                    std::optional<std::int64_t> live_tasks) {
   steps_ = 0;
+  task_trip_ = span_.Iterations(live_tasks);
   std::fill(bound_.begin(), bound_.end(), 0);
   for (std::size_t i = 0; i < kernel_.scalars.size(); ++i) {
     const auto& s = kernel_.scalars[i];
@@ -491,7 +540,7 @@ void Evaluator::Run(const std::map<std::string, Value>& scalars,
 // --------------------------------------------------------------------------
 
 ReferenceEvaluator::ReferenceEvaluator(const Kernel& kernel)
-    : kernel_(kernel) {
+    : kernel_(kernel), span_(kernel) {
   kernel.Validate();
 }
 
@@ -615,7 +664,9 @@ void ReferenceEvaluator::Exec(const Stmt& stmt, Env& env) {
       break;
     }
     case StmtKind::kFor: {
-      for (std::int64_t i = 0; i < stmt.trip_count(); ++i) {
+      const std::int64_t trip =
+          &stmt == span_.loop() ? task_trip_ : stmt.trip_count();
+      for (std::int64_t i = 0; i < trip; ++i) {
         env.vars[stmt.loop_var()] =
             Value::OfInt(static_cast<std::int32_t>(i));
         Exec(*stmt.body(), env);
@@ -629,8 +680,10 @@ void ReferenceEvaluator::Exec(const Stmt& stmt, Env& env) {
 }
 
 void ReferenceEvaluator::Run(const std::map<std::string, Value>& scalars,
-                             BufferMap& buffers) {
+                             BufferMap& buffers,
+                             std::optional<std::int64_t> live_tasks) {
   steps_ = 0;
+  task_trip_ = span_.Iterations(live_tasks);
   Env env;
   env.buffers = &buffers;
   for (const auto& s : kernel_.scalars) {

@@ -23,10 +23,24 @@
 //
 // Both count one step per IR node visited (same runaway budget), and both
 // keep the map-keyed Run signature, so they are drop-in interchangeable.
+//
+// Live tasks. A template kernel processes a fixed batch of tasks in its
+// task loop (Kernel::task_loop_id, the outer loop after Merlin tiling, so
+// one iteration may cover a whole tile of tasks), and the host zero-pads
+// short batches. Run(scalars, buffers, live_tasks) executes only the first
+// ceil(live_tasks / tasks-per-iteration) task-loop iterations; every
+// statement outside the task loop (a reduce kernel's flush) runs as usual.
+// The task loop is sequential and a task writes only its own rows, so the
+// live rows come out exactly as in a full-batch run. LiveRows(live_tasks)
+// is the padded span those iterations touch: per-task inputs need only that
+// many rows, and a task that reads beyond them fails the bounds check
+// instead of reading padding. Without live_tasks (or when the task loop's
+// shape cannot be resolved) the whole batch runs.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,9 +52,29 @@ namespace s2fa::kir {
 using jvm::Value;
 
 // Buffer contents keyed by buffer name. Inputs must be pre-sized to the
-// buffer's declared length times the task count where applicable; outputs
-// and locals are zero-initialized by Run if absent.
+// buffer's declared length (per-task inputs: LiveRows x per_task rows when
+// Run is given live_tasks); outputs and locals are zero-initialized by Run
+// if absent.
 using BufferMap = std::map<std::string, std::vector<Value>>;
+
+// How a kernel's task loop covers its batch; resolved once per kernel and
+// shared by both evaluators (see "Live tasks" above).
+class TaskSpan {
+ public:
+  explicit TaskSpan(const Kernel& kernel);
+
+  const Stmt* loop() const { return loop_; }
+  // Task-loop iterations that cover the first `live_tasks` tasks (the full
+  // trip count when absent).
+  std::int64_t Iterations(std::optional<std::int64_t> live_tasks) const;
+  // Tasks those iterations can touch.
+  std::int64_t LiveRows(std::int64_t live_tasks) const;
+
+ private:
+  const Stmt* loop_ = nullptr;
+  std::int64_t batch_ = 0;           // template tasks per invocation
+  std::int64_t tasks_per_iter_ = 0;  // 0: shape unresolved, run in full
+};
 
 // Slot-resolved evaluator: name lookups are compiled away at construction.
 // Not thread-safe; each thread should own its own instance (construction
@@ -52,8 +86,16 @@ class Evaluator {
   // Runs the kernel. `scalars` provides values for every declared scalar
   // parameter. `buffers` provides inputs and receives outputs. Missing
   // output/local entries are created zero-filled with the declared length;
-  // off-chip buffers may be larger than declared (task-batched).
-  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers);
+  // off-chip buffers may be larger than declared (task-batched). With
+  // `live_tasks`, only the task-loop iterations covering the first
+  // `live_tasks` tasks run, and per-task inputs need only LiveRows rows.
+  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
+           std::optional<std::int64_t> live_tasks = std::nullopt);
+
+  // Tasks a Run with `live_tasks` can touch (see file comment).
+  std::int64_t LiveRows(std::int64_t live_tasks) const {
+    return span_.LiveRows(live_tasks);
+  }
 
   // Instruction-ish step count of the last Run (sanity/runaway guard).
   std::uint64_t last_steps() const { return steps_; }
@@ -110,11 +152,13 @@ class Evaluator {
   void ExecStmt(std::int32_t idx);
 
   const Kernel& kernel_;
+  TaskSpan span_;
 
   // Resolved program (built once at construction).
   std::vector<RExpr> rexprs_;
   std::vector<RStmt> rstmts_;
   std::int32_t root_ = -1;
+  std::int32_t task_stmt_ = -1;  // rstmts_ index of the task loop
   std::vector<std::string> var_names_;     // slot -> name (diagnostics)
   std::map<std::string, std::int32_t> var_slots_;
   std::vector<std::int32_t> scalar_slots_;  // kernel_.scalars[i] -> slot
@@ -125,6 +169,7 @@ class Evaluator {
   std::vector<Value> slots_;
   std::vector<std::uint8_t> bound_;
   std::vector<std::vector<Value>*> bufs_;
+  std::int64_t task_trip_ = 0;  // task-loop iterations of this Run
 
   std::uint64_t steps_ = 0;
   std::uint64_t max_steps_ = 2'000'000'000ULL;
@@ -135,7 +180,12 @@ class ReferenceEvaluator {
  public:
   explicit ReferenceEvaluator(const Kernel& kernel);
 
-  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers);
+  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
+           std::optional<std::int64_t> live_tasks = std::nullopt);
+
+  std::int64_t LiveRows(std::int64_t live_tasks) const {
+    return span_.LiveRows(live_tasks);
+  }
 
   std::uint64_t last_steps() const { return steps_; }
 
@@ -149,6 +199,8 @@ class ReferenceEvaluator {
   void Exec(const Stmt& stmt, Env& env);
 
   const Kernel& kernel_;
+  TaskSpan span_;
+  std::int64_t task_trip_ = 0;
   std::uint64_t steps_ = 0;
   std::uint64_t max_steps_ = 2'000'000'000ULL;
 };

@@ -225,8 +225,11 @@ void EvalJournal::Open(const std::string& path) {
       if (line.empty()) continue;
       try {
         JournalEntry entry = ParseJournalEntry(line);
-        entries_[entry.key] = entry.outcome;
-        ++resumed_;
+        // Count keys, not lines: a journal written before Record() skipped
+        // known keys may hold the same evaluation twice.
+        if (entries_.insert_or_assign(entry.key, entry.outcome).second) {
+          ++resumed_;
+        }
       } catch (const MalformedInput&) {
         // A torn trailing line means the previous run died mid-append; the
         // evaluation it described simply gets re-done.
@@ -277,7 +280,10 @@ std::optional<tuner::EvalOutcome> EvalJournal::Find(
 void EvalJournal::Record(const std::string& key,
                          const tuner::EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_[key] = outcome;
+  // Two concurrent misses on the same config (the journal sits above the
+  // cache, so both may evaluate it) record it once: the journal holds one
+  // line per key.
+  if (!entries_.emplace(key, outcome).second) return;
   if (out_.is_open()) {
     // One write() of the full line (newline included) per record: the
     // stream never holds a half-rendered entry in its buffer, so a crash

@@ -45,11 +45,13 @@ class EvalJournal {
   bool open() const { return out_.is_open(); }
 
   std::optional<tuner::EvalOutcome> Find(const std::string& key) const;
+  // Records and appends `outcome` under `key`; a key already known keeps
+  // its first outcome and appends nothing.
   void Record(const std::string& key, const tuner::EvalOutcome& outcome);
 
   std::size_t entries() const;   // keys known (loaded + recorded)
   std::size_t hits() const;      // evaluations answered from the journal
-  std::size_t resumed() const;   // entries loaded from disk at Open()
+  std::size_t resumed() const;   // distinct keys loaded at Open()
 
   // Wraps `inner` under `scope`: journaled keys short-circuit, misses
   // evaluate and record. The journal must outlive the returned function.

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <tuple>
+
+#include "apps/app.h"
 #include "b2c/compiler.h"
 #include "blaze/runtime.h"
 #include "blaze/serialization.h"
@@ -538,6 +544,141 @@ TEST(RuntimeTest, PerInvocationCostMatchesStatsBreakdown) {
   EXPECT_DOUBLE_EQ(stats.total_us, 2 * per.total_us);
   EXPECT_THROW(runtime.PerInvocationCost("ghost"), InvalidArgument);
 }
+
+// ------------------------------------------------------------ short batch
+
+// 16 records in a 1024-task batch (the serving micro-batch shape): only
+// the live tasks run, on inputs packed to their span.
+constexpr std::size_t kShortRecords = 16;
+
+struct ShortBatch {
+  apps::App app;
+  Artifact artifact;
+  Dataset input;
+  Dataset broadcast;
+
+  const Dataset* bc() const {
+    return app.make_broadcast ? &broadcast : nullptr;
+  }
+  bool reduce() const {
+    return app.spec.pattern == kir::ParallelPattern::kReduce;
+  }
+};
+
+// Builds `name` with no loop factors, or with its task loop tiled by
+// `task_tile`, plus a short input.
+ShortBatch MakeShortBatch(const std::string& name, std::int64_t task_tile) {
+  ShortBatch sb{apps::FindApp(name), {}, {}, {}};
+  merlin::DesignConfig cfg;
+  if (task_tile > 1) {
+    const kir::Kernel generated =
+        b2c::CompileKernel(*sb.app.pool, sb.app.spec);
+    cfg.loops[generated.task_loop_id] = {task_tile, 1,
+                                         merlin::PipelineMode::kOff};
+  }
+  sb.artifact = BuildWithConfig(*sb.app.pool, sb.app.spec, cfg);
+  Rng rng(77);
+  sb.input = sb.app.make_input(kShortRecords, rng);
+  if (sb.app.make_broadcast) sb.broadcast = sb.app.make_broadcast(rng);
+  return sb;
+}
+
+struct BatchRun {
+  kir::BufferMap buffers;
+  std::uint64_t steps = 0;
+  std::int64_t rows = 0;  // rows packed per per-task input
+};
+
+// Packs and evaluates all of `input` as one batch of `sb`'s design: the
+// live tasks only (as the runtime does), or the zero-padded full batch.
+BatchRun RunOneBatch(const ShortBatch& sb, const Dataset& input,
+                     bool live_only) {
+  kir::Evaluator evaluator(sb.artifact.best_design);
+  const std::size_t count = input.num_records();
+  const auto live = static_cast<std::int64_t>(count);
+  BatchRun run;
+  run.rows = live_only ? evaluator.LiveRows(live) : sb.artifact.plan.batch;
+  SerializeBatch(sb.artifact.plan, input, 0, count, run.buffers, sb.bc(),
+                 static_cast<std::size_t>(run.rows));
+  evaluator.Run({{"N", Value::OfInt(static_cast<std::int32_t>(count))}},
+                run.buffers,
+                live_only ? std::optional<std::int64_t>(live) : std::nullopt);
+  run.steps = evaluator.last_steps();
+  return run;
+}
+
+double AsDouble(const Value& v) {
+  if (v.is_double()) return v.AsDouble();
+  if (v.is_float()) return v.AsFloat();
+  if (v.is_long()) return static_cast<double>(v.AsLong());
+  return v.AsInt();
+}
+
+class ShortBatchTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(ShortBatchTest, LiveTasksMatchReferenceAndFullBatch) {
+  const auto& [name, tile] = GetParam();
+  ShortBatch sb = MakeShortBatch(name, tile);
+  BlazeRuntime runtime;
+  RegisterWithBlaze(runtime, name, sb.artifact);
+  Dataset got = sb.reduce() ? runtime.Reduce(name, sb.input, sb.bc())
+                            : runtime.Map(name, sb.input, sb.bc());
+  Dataset want = sb.app.reference(sb.input, sb.bc());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& w = want.column(c);
+    const Column& g = got.ColumnByField(w.field);
+    ASSERT_EQ(g.data.size(), w.data.size()) << w.field;
+    for (std::size_t e = 0; e < w.data.size(); ++e) {
+      const double expect = AsDouble(w.data[e]);
+      EXPECT_NEAR(AsDouble(g.data[e]), expect,
+                  1e-4 * std::max(1.0, std::fabs(expect)))
+          << w.field << "[" << e << "]";
+    }
+  }
+
+  // The live rows equal those of a zero-padded full-batch run.
+  const BatchRun live = RunOneBatch(sb, sb.input, true);
+  const BatchRun full = RunOneBatch(sb, sb.input, false);
+  EXPECT_EQ(live.rows, std::max<std::int64_t>(tile, kShortRecords));
+  for (const kir::Buffer* buf : sb.artifact.best_design.OutputBuffers()) {
+    const auto rows = static_cast<std::size_t>(
+        buf->per_task * (sb.reduce() ? 1 : std::int64_t{kShortRecords}));
+    const auto& l = live.buffers.at(buf->name);
+    const auto& f = full.buffers.at(buf->name);
+    ASSERT_GE(l.size(), rows);
+    EXPECT_TRUE(std::equal(l.begin(), l.begin() + rows, f.begin()))
+        << buf->name;
+  }
+  EXPECT_LT(live.steps, full.steps);
+  if (!sb.reduce()) {
+    // Step-count pin: an SVM task costs the same steps live or padded, so
+    // the live run costs its span's share of the full run plus the
+    // statements outside the task loop (what a run with no live tasks
+    // costs).
+    kir::Evaluator outside(sb.artifact.best_design);
+    kir::BufferMap empty;
+    SerializeBatch(sb.artifact.plan, sb.input, 0, 0, empty, sb.bc(), 0);
+    outside.Run({{"N", Value::OfInt(0)}}, empty, 0);
+    const double share = static_cast<double>(live.rows) /
+                         static_cast<double>(sb.artifact.plan.batch);
+    EXPECT_LE(static_cast<double>(live.steps),
+              share * static_cast<double>(full.steps) +
+                  static_cast<double>(outside.last_steps()))
+        << "live " << live.steps << " full " << full.steps << " outside "
+        << outside.last_steps();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SvmAndLls, ShortBatchTest,
+    ::testing::Combine(::testing::Values("SVM", "LLS"),
+                       ::testing::Values(1, 64)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_tile" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace s2fa::blaze

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "b2c/compiler.h"
 #include "jvm/assembler.h"
@@ -295,30 +297,70 @@ std::uint64_t ValueBits(const Value& v) {
   return b;
 }
 
+// Asserts two buffers hold the same first `n` values, bit for bit (NaN
+// payloads and Value kinds included).
+void ExpectBitIdentical(const std::vector<Value>& got,
+                        const std::vector<Value>& want, std::size_t n,
+                        const std::string& label) {
+  ASSERT_GE(got.size(), n) << label;
+  ASSERT_GE(want.size(), n) << label;
+  for (std::size_t e = 0; e < n; ++e) {
+    ASSERT_EQ(ValueKind(got[e]), ValueKind(want[e]))
+        << label << " element " << e;
+    ASSERT_EQ(ValueBits(got[e]), ValueBits(want[e]))
+        << label << " element " << e;
+  }
+}
+
 // Requires the slot-resolved and reference evaluators to produce
 // bit-identical buffer maps (every buffer, every element, including NaN
-// bit patterns) and to charge the same step count on `kernel`.
-void ExpectEvaluatorsBitIdentical(const kir::Kernel& kernel,
-                                  const std::map<std::string, Value>& scalars,
-                                  const kir::BufferMap& inputs) {
-  kir::BufferMap fast_bufs = inputs;
-  kir::BufferMap ref_bufs = inputs;
+// bit patterns) and to charge the same step count on `kernel`. With
+// `live_tasks`, both run only the live tasks on inputs cut to their
+// LiveRows span (as the Blaze runtime packs a short batch), and the live
+// output rows must also equal those of a full-batch run (the prefix
+// property).
+void ExpectEvaluatorsBitIdentical(
+    const kir::Kernel& kernel, const kir::BufferMap& inputs,
+    std::int64_t batch,
+    std::optional<std::int64_t> live_tasks = std::nullopt) {
+  SCOPED_TRACE("live_tasks=" +
+               (live_tasks ? std::to_string(*live_tasks) : "full"));
+  const std::map<std::string, Value> scalars = {
+      {"N", Value::OfInt(static_cast<std::int32_t>(
+                live_tasks.value_or(batch)))}};
   kir::Evaluator fast(kernel);
-  fast.Run(scalars, fast_bufs);
   kir::ReferenceEvaluator ref(kernel);
-  ref.Run(scalars, ref_bufs);
+  kir::BufferMap fast_bufs = inputs;
+  if (live_tasks) {
+    const std::int64_t rows = fast.LiveRows(*live_tasks);
+    ASSERT_EQ(rows, ref.LiveRows(*live_tasks));
+    ASSERT_GE(rows, *live_tasks);
+    ASSERT_LE(rows, batch);
+    for (const auto& buf : kernel.buffers) {
+      if (buf.kind != kir::BufferKind::kInput) continue;
+      fast_bufs[buf.name].resize(static_cast<std::size_t>(rows * buf.per_task));
+    }
+  }
+  kir::BufferMap ref_bufs = fast_bufs;
+  fast.Run(scalars, fast_bufs, live_tasks);
+  ref.Run(scalars, ref_bufs, live_tasks);
   ASSERT_EQ(fast.last_steps(), ref.last_steps());
   ASSERT_EQ(fast_bufs.size(), ref_bufs.size());
   for (const auto& [name, fast_data] : fast_bufs) {
     auto it = ref_bufs.find(name);
     ASSERT_NE(it, ref_bufs.end()) << "buffer " << name;
     ASSERT_EQ(fast_data.size(), it->second.size()) << "buffer " << name;
-    for (std::size_t e = 0; e < fast_data.size(); ++e) {
-      ASSERT_EQ(ValueKind(fast_data[e]), ValueKind(it->second[e]))
-          << "buffer " << name << " element " << e;
-      ASSERT_EQ(ValueBits(fast_data[e]), ValueBits(it->second[e]))
-          << "buffer " << name << " element " << e;
-    }
+    ExpectBitIdentical(fast_data, it->second, fast_data.size(),
+                       "buffer " + name);
+  }
+  if (!live_tasks) return;
+  kir::BufferMap full_bufs = inputs;
+  kir::Evaluator(kernel).Run(scalars, full_bufs);
+  for (const auto* buf : kernel.OutputBuffers()) {
+    ExpectBitIdentical(
+        fast_bufs[buf->name], full_bufs[buf->name],
+        static_cast<std::size_t>(*live_tasks * buf->per_task),
+        "live rows of " + buf->name);
   }
 }
 
@@ -399,18 +441,32 @@ void RunDifferential(std::uint64_t seed) {
 
   // 4. Slot-resolved vs reference evaluator must agree bit-for-bit on
   //    every buffer (and on step counts) — on the compiled kernel and on
-  //    a random transform of it.
+  //    a random transform of it, over the full batch and over a random
+  //    count of live tasks.
   kir::BufferMap inputs;
   for (float v : a1) inputs["in_1"].push_back(Value::OfFloat(v));
   for (float v : a2) inputs["in_2"].push_back(Value::OfFloat(v));
   for (float v : s) inputs["in_3"].push_back(Value::OfFloat(v));
-  const std::map<std::string, Value> scalars = {
-      {"N", Value::OfInt(static_cast<std::int32_t>(batch))}};
-  ExpectEvaluatorsBitIdentical(kernel, scalars, inputs);
+  const auto full = static_cast<std::int64_t>(batch);
   Rng trng(seed ^ 0x51D3ULL);
-  merlin::DesignConfig cfg = RandomLegalConfig(kernel, trng);
-  ExpectEvaluatorsBitIdentical(merlin::ApplyDesign(kernel, cfg).kernel,
-                               scalars, inputs);
+  kir::Kernel transformed =
+      merlin::ApplyDesign(kernel, RandomLegalConfig(kernel, trng)).kernel;
+  for (const kir::Kernel* k : {&kernel, &transformed}) {
+    ExpectEvaluatorsBitIdentical(*k, inputs, full);
+    ExpectEvaluatorsBitIdentical(*k, inputs, full, trng.NextInt(1, full));
+  }
+  // A task loop tiled by 2, 4 or 8 with a live count the tile does not
+  // divide: the last live tile runs padded tasks.
+  merlin::DesignConfig tiled = RandomLegalConfig(kernel, trng);
+  const std::int64_t tile = std::int64_t{2} << trng.NextInt(0, 2);
+  tiled.loops[kernel.task_loop_id].tile = tile;
+  tiled.loops[kernel.task_loop_id].parallel = trng.NextInt(1, tile);
+  const std::int64_t live = tile * trng.NextInt(0, full / tile - 1) +
+                            trng.NextInt(1, tile - 1);
+  const kir::Kernel tiled_kernel = merlin::ApplyDesign(kernel, tiled).kernel;
+  ASSERT_EQ(kir::Evaluator(tiled_kernel).LiveRows(live),
+            (live / tile + 1) * tile);
+  ExpectEvaluatorsBitIdentical(tiled_kernel, inputs, full, live);
 }
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};

@@ -391,6 +391,110 @@ TEST(EvalTest, SlotAndReferenceWalkersCountSameSteps) {
   EXPECT_EQ(fast.last_steps(), ref.last_steps());
 }
 
+// ------------------------------------------------------------ live tasks
+
+// out[i] = in[src(i)] * 2 over a 16-task batch with per-task buffers, where
+// src(i) = i, or 15 - i (a task reading another task's row) when
+// `reversed`. `tile` > 1 splits the task loop as Merlin tiling does.
+Kernel MakeTaskKernel(std::int64_t tile, bool reversed = false) {
+  Kernel k;
+  k.name = "tasks";
+  k.scalars.push_back({"N", Type::Int()});
+  k.buffers.push_back(
+      {"in", Type::Float(), 16, BufferKind::kInput, "in._1", 1});
+  k.buffers.push_back(
+      {"out", Type::Float(), 16, BufferKind::kOutput, "ret._1", 1});
+  ExprPtr i = Expr::Var("i", Type::Int());
+  if (tile > 1) {
+    i = Expr::Binary(BinaryOp::kAdd,
+                     Expr::Binary(BinaryOp::kMul, Expr::Var("i_t", Type::Int()),
+                                  Expr::IntLit(tile)),
+                     Expr::Var("i_p", Type::Int()));
+  }
+  ExprPtr src = reversed ? Expr::Binary(BinaryOp::kSub, Expr::IntLit(15), i)
+                         : i;
+  StmtPtr body = Stmt::Block({Stmt::Assign(
+      Expr::ArrayRef("out", Type::Float(), i),
+      Expr::Binary(BinaryOp::kMul, Expr::ArrayRef("in", Type::Float(), src),
+                   Expr::FloatLit(2.0f)))});
+  StmtPtr loop =
+      tile > 1 ? Stmt::For(0, "i_t", 16 / tile,
+                           Stmt::Block({Stmt::For(1, "i_p", tile, body)}))
+               : Stmt::For(0, "i", 16, body);
+  k.body = Stmt::Block({loop});
+  k.task_loop_id = 0;
+  return k;
+}
+
+BufferMap TaskInputs(std::int64_t rows) {
+  BufferMap buffers;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    buffers["in"].push_back(Value::OfFloat(static_cast<float>(r + 1)));
+  }
+  return buffers;
+}
+
+TEST(LiveTasksTest, LiveRowsCoverWholeTiles) {
+  Kernel plain = MakeTaskKernel(1);
+  EXPECT_EQ(Evaluator(plain).LiveRows(5), 5);
+  EXPECT_EQ(ReferenceEvaluator(plain).LiveRows(16), 16);
+  Kernel tiled = MakeTaskKernel(4);
+  EXPECT_EQ(Evaluator(tiled).LiveRows(1), 4);
+  EXPECT_EQ(Evaluator(tiled).LiveRows(5), 8);
+  EXPECT_EQ(ReferenceEvaluator(tiled).LiveRows(8), 8);
+  // Without per-task buffer shapes the batch is unknown: run in full.
+  Kernel unshaped = MakeScaleKernel();
+  EXPECT_EQ(Evaluator(unshaped).LiveRows(5), 16);
+}
+
+TEST(LiveTasksTest, ShortBatchRunsOnlyLiveIterations) {
+  for (std::int64_t tile : {1, 4}) {
+    Kernel k = MakeTaskKernel(tile);
+    Evaluator full(k);
+    BufferMap full_bufs = TaskInputs(16);
+    full.Run({{"N", Value::OfInt(16)}}, full_bufs);
+
+    Evaluator fast(k);
+    ReferenceEvaluator ref(k);
+    const std::int64_t rows = fast.LiveRows(5);
+    BufferMap fast_bufs = TaskInputs(rows);
+    BufferMap ref_bufs = TaskInputs(rows);
+    fast.Run({{"N", Value::OfInt(5)}}, fast_bufs, 5);
+    ref.Run({{"N", Value::OfInt(5)}}, ref_bufs, 5);
+    EXPECT_EQ(fast.last_steps(), ref.last_steps()) << "tile " << tile;
+    EXPECT_LT(fast.last_steps(), full.last_steps()) << "tile " << tile;
+    for (std::size_t r = 0; r < 5; ++r) {
+      EXPECT_EQ(fast_bufs["out"][r].AsFloat(), full_bufs["out"][r].AsFloat());
+      EXPECT_EQ(ref_bufs["out"][r].AsFloat(), full_bufs["out"][r].AsFloat());
+    }
+  }
+}
+
+TEST(LiveTasksTest, ReadingAnotherTasksRowFailsOnShortBatch) {
+  // Task i reads row 15 - i: fine on a full batch, but on a short batch
+  // that row lies outside the live span and must fail loudly rather than
+  // read padding.
+  Kernel k = MakeTaskKernel(1, /*reversed=*/true);
+  BufferMap full = TaskInputs(16);
+  EXPECT_NO_THROW(Evaluator(k).Run({{"N", Value::OfInt(16)}}, full));
+  BufferMap fast_bufs = TaskInputs(4);
+  BufferMap ref_bufs = TaskInputs(4);
+  EXPECT_THROW(Evaluator(k).Run({{"N", Value::OfInt(4)}}, fast_bufs, 4),
+               InvalidArgument);
+  EXPECT_THROW(
+      ReferenceEvaluator(k).Run({{"N", Value::OfInt(4)}}, ref_bufs, 4),
+      InvalidArgument);
+}
+
+TEST(LiveTasksTest, LiveTasksBeyondTheBatchThrow) {
+  Kernel k = MakeTaskKernel(1);
+  BufferMap buffers = TaskInputs(16);
+  EXPECT_THROW(Evaluator(k).Run({{"N", Value::OfInt(16)}}, buffers, 17),
+               InvalidArgument);
+  EXPECT_THROW(Evaluator(k).Run({{"N", Value::OfInt(16)}}, buffers, -1),
+               InvalidArgument);
+}
+
 // --------------------------------------------------------------- arena
 
 TEST(ArenaTest, FreedNodesAreReused) {

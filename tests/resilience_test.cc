@@ -575,6 +575,45 @@ TEST(JournalTest, AppendAfterTornTailStaysRecoverable) {
   std::remove(path.c_str());
 }
 
+TEST(JournalTest, DuplicateRecordKeepsOneEntryPerKey) {
+  // Two concurrent journal misses on the same config both record it; the
+  // journal must still hold and resume one entry per key.
+  const std::string path =
+      testing::TempDir() + "s2fa_journal_duplicate_test." +
+      std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  {
+    EvalJournal journal;
+    journal.Open(path);
+    journal.Record("p0|a", GoodOutcome(1.0, 2.0));
+    journal.Record("p0|a", GoodOutcome(1.0, 2.0));
+    EXPECT_EQ(journal.entries(), 1u);
+  }
+  EvalJournal resumed;
+  resumed.Open(path);
+  EXPECT_EQ(resumed.resumed(), 1u);
+  EXPECT_EQ(resumed.entries(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(JournalTest, ResumeCountsDistinctKeys) {
+  // A journal holding the same key on two lines resumes one entry.
+  const std::string path =
+      testing::TempDir() + "s2fa_journal_distinct_test." +
+      std::to_string(::getpid()) + ".jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    const std::string line =
+        RenderJournalEntry({"p0|a", GoodOutcome(1.0, 2.0)});
+    out << line << '\n' << line << '\n';
+  }
+  EvalJournal resumed;
+  resumed.Open(path);
+  EXPECT_EQ(resumed.resumed(), 1u);
+  EXPECT_EQ(resumed.entries(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(JournalTest, OpenThrowsOnUnwritablePath) {
   EvalJournal journal;
   EXPECT_THROW(journal.Open("/nonexistent-dir/journal.jsonl"), Error);
