@@ -5,6 +5,7 @@
 #include <future>
 #include <limits>
 
+#include "blaze/event_queue.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -105,8 +106,6 @@ struct BlazeCluster::RequeueRec {
 };
 
 struct BlazeCluster::Event {
-  double time_us = 0;
-  std::size_t seq = 0;
   enum Kind {
     kLifecycle,
     kArrival,
@@ -453,15 +452,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
   }
 
   // ---- event machinery
-  std::vector<Event> events;
-  std::size_t seq = 0;
-  auto later = [](const Event& a, const Event& b) {
-    if (a.time_us != b.time_us) return a.time_us > b.time_us;
-    return a.seq > b.seq;
-  };
+  EventQueue<Event> events;
   auto push_event = [&](double t, Event::Kind kind, std::size_t index) {
-    events.push_back({t, seq++, kind, index});
-    std::push_heap(events.begin(), events.end(), later);
+    events.Push(t, {kind, index});
   };
   std::vector<CommitRec> commits;
   std::vector<RequeueRec> requeues;
@@ -1034,10 +1027,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
 
   // ---- main event loop
   while (!events.empty()) {
-    std::pop_heap(events.begin(), events.end(), later);
-    const Event event = events.back();
-    events.pop_back();
-    const double t = event.time_us;
+    const auto next = events.Pop();
+    const Event& event = next.payload;
+    const double t = next.time_us;
     switch (event.kind) {
       case Event::kLifecycle: {
         const LifecycleEvent& life = lifecycle_[event.index];

@@ -34,10 +34,11 @@
 //     caller-provided generator.
 //
 // Determinism: the cluster is a sequential discrete-event simulator (an
-// event heap ordered by (time, seq)); services plan sequentially too. Only
-// functional kernel execution fans out on thread pools, and outputs are
-// committed into per-request slots — so outcomes are bit-identical across
-// `exec_threads`, like the service's plan-order commit.
+// EventQueue ordered by (time, push order)); services plan sequentially
+// too. Only functional kernel execution fans out on thread pools, and
+// outputs are committed into per-request slots — so outcomes are
+// bit-identical across `exec_threads`, like the service's plan-order
+// commit.
 //
 // Conservative timing approximations (documented, deterministic): the
 // kill-interruption pre-check uses a single-lane fault-free estimate of

@@ -1,7 +1,6 @@
 #include "blaze/service.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -10,7 +9,6 @@
 #include "resilience/fault.h"
 #include "support/error.h"
 #include "support/logging.h"
-#include "support/strings.h"
 #include "support/thread_pool.h"
 
 namespace s2fa::blaze {
@@ -84,7 +82,6 @@ struct BlazeService::Plan {
 
 struct BlazeService::HealthEvent {
   double time_us = 0;
-  std::size_t seq = 0;  // tie-break: creation order
   std::size_t replica = 0;
   bool failed = false;
   resilience::FailureKind kind = resilience::FailureKind::kNone;
@@ -218,15 +215,8 @@ resilience::FailureKind BlazeService::ClassifyFailure(
 // ------------------------------------------------------ health application
 
 void BlazeService::ApplyHealthEventsUpTo(double t) {
-  // health_events_ is kept as a min-heap on (time, seq).
-  auto later = [](const HealthEvent& a, const HealthEvent& b) {
-    if (a.time_us != b.time_us) return a.time_us > b.time_us;
-    return a.seq > b.seq;
-  };
-  while (!health_events_.empty() && health_events_.front().time_us <= t) {
-    std::pop_heap(health_events_.begin(), health_events_.end(), later);
-    HealthEvent event = std::move(health_events_.back());
-    health_events_.pop_back();
+  while (!health_events_.empty() && health_events_.NextTime() <= t) {
+    const HealthEvent event = health_events_.Pop().payload;
     ApplyHealthSample(replicas_[event.replica], event);
   }
 }
@@ -503,10 +493,6 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
 
   // Queue the health-window samples at their simulated observation times;
   // segments cancelled by a winning hedge are never observed.
-  auto later = [](const HealthEvent& a, const HealthEvent& b) {
-    if (a.time_us != b.time_us) return a.time_us > b.time_us;
-    return a.seq > b.seq;
-  };
   int attempts_started = 0;
   for (const Segment& segment : segments) {
     if (segment.start_us >= cancel_after) break;
@@ -519,7 +505,6 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
     if (segment.end_us > cancel_after) break;  // in flight at cancellation
     HealthEvent event;
     event.time_us = segment.end_us;
-    event.seq = health_event_seq_++;
     event.replica = replica_index;
     event.failed = segment.failed;
     event.kind = segment.kind;
@@ -527,8 +512,7 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
     event.is_probe = probe;
     event.kernel_sample = !segment.failed;
     event.kernel = rq.kernel;
-    health_events_.push_back(std::move(event));
-    std::push_heap(health_events_.begin(), health_events_.end(), later);
+    health_events_.Push(event.time_us, std::move(event));
   }
   if (probe) {
     ++stats_.probes;
@@ -549,20 +533,12 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
 void BlazeService::PlanAll(std::vector<Pending>& pending,
                            std::vector<Plan>& plans) {
   struct SimEvent {
-    double time_us = 0;
-    std::size_t seq = 0;
     enum Kind { kArrival, kLaneFree, kProbeTimer } kind = kArrival;
     std::size_t index = 0;  // pending index or replica index
   };
-  auto later = [](const SimEvent& a, const SimEvent& b) {
-    if (a.time_us != b.time_us) return a.time_us > b.time_us;
-    return a.seq > b.seq;
-  };
-  std::vector<SimEvent> events;
-  std::size_t seq = 0;
+  EventQueue<SimEvent> events;
   auto push_event = [&](double t, SimEvent::Kind kind, std::size_t index) {
-    events.push_back({t, seq++, kind, index});
-    std::push_heap(events.begin(), events.end(), later);
+    events.Push(t, {kind, index});
   };
   for (std::size_t i = 0; i < pending.size(); ++i) {
     push_event(pending[i].arrival_us, SimEvent::kArrival, i);
@@ -626,13 +602,13 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
   };
 
   while (!events.empty()) {
-    std::pop_heap(events.begin(), events.end(), later);
-    SimEvent event = events.back();
-    events.pop_back();
-    clock_us_ = std::max(clock_us_, event.time_us);
+    const auto next = events.Pop();
+    const SimEvent& event = next.payload;
+    const double t = next.time_us;
+    clock_us_ = std::max(clock_us_, t);
     if (event.kind == SimEvent::kArrival) {
-      ApplyHealthEventsUpTo(event.time_us);
-      try_dispatch(event.time_us);
+      ApplyHealthEventsUpTo(t);
+      try_dispatch(t);
       Pending& request = pending[event.index];
       if (waiting.size() >= options_.queue_capacity) {
         plans[event.index].outcome = ServeOutcome::kRejectedFull;
@@ -649,7 +625,7 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
         try_dispatch(request.arrival_us);
       }
     } else {
-      try_dispatch(event.time_us);
+      try_dispatch(t);
     }
   }
   ApplyHealthEventsUpTo(kNoDeadline);  // absorb trailing samples
@@ -770,72 +746,10 @@ std::vector<RequestOutcome> BlazeService::Drain() {
   return outcomes;
 }
 
-// ------------------------------------------------------------ CLI plumbing
-
-std::optional<FaultBurst> ParseFaultBurst(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  const auto parse = [](std::string_view digits,
-                        std::size_t& out) {
-    const char* end = digits.data() + digits.size();
-    auto [ptr, ec] = std::from_chars(digits.data(), end, out);
-    return ec == std::errc() && ptr == end && !digits.empty();
-  };
-  FaultBurst burst;
-  if (!parse(std::string_view(text).substr(0, colon), burst.start) ||
-      !parse(std::string_view(text).substr(colon + 1), burst.length)) {
-    return std::nullopt;
-  }
-  return burst;
-}
+// ------------------------------------------------------------ fault bursts
 
 AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst) {
-  if (burst.length == 0) return nullptr;
-  return [burst](const std::string&, std::size_t invocation, int) {
-    return invocation >= burst.start &&
-           invocation < burst.start + burst.length;
-  };
-}
-
-std::vector<FaultBurst> ParseFaultBursts(const std::string& text) {
-  std::vector<FaultBurst> bursts;
-  std::size_t begin = 0;
-  const std::string trimmed(Trim(text));
-  if (trimmed.empty()) return bursts;
-  while (begin <= trimmed.size()) {
-    std::size_t comma = trimmed.find(',', begin);
-    if (comma == std::string::npos) comma = trimmed.size();
-    const std::string piece = trimmed.substr(begin, comma - begin);
-    const std::string window(Trim(piece));
-    auto burst = ParseFaultBurst(window);
-    if (!burst) {
-      throw MalformedInput("fault burst '" + window +
-                           "' is not START:LEN");
-    }
-    if (burst->length == 0) {
-      throw MalformedInput("fault burst '" + window +
-                           "' has zero length");
-    }
-    bursts.push_back(*burst);
-    begin = comma + 1;
-  }
-  std::sort(bursts.begin(), bursts.end(),
-            [](const FaultBurst& a, const FaultBurst& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.length < b.length;
-            });
-  for (std::size_t i = 1; i < bursts.size(); ++i) {
-    const FaultBurst& prev = bursts[i - 1];
-    const FaultBurst& cur = bursts[i];
-    if (cur.start < prev.start + prev.length) {
-      throw MalformedInput(
-          "fault bursts overlap: [" + std::to_string(prev.start) + ":" +
-          std::to_string(prev.length) + ") and [" +
-          std::to_string(cur.start) + ":" + std::to_string(cur.length) +
-          "); merge or separate the windows");
-    }
-  }
-  return bursts;
+  return MakeBurstFaultInjector(std::vector<FaultBurst>{burst});
 }
 
 AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts) {

@@ -48,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "blaze/event_queue.h"
 #include "blaze/runtime.h"
 #include "resilience/failure.h"
 
@@ -292,32 +293,27 @@ class BlazeService {
   std::size_t next_id_ = 0;
   double clock_us_ = 0;
   ServiceStats stats_;
-  std::vector<HealthEvent> health_events_;  // min-heap by (time, seq)
-  std::size_t health_event_seq_ = 0;
+  EventQueue<HealthEvent> health_events_;
   // Probe-eligibility timers raised while applying health samples; the
-  // planner drains these into its event heap (quarantine can fire inside
-  // ApplyHealthEventsUpTo, which cannot see the planner's heap directly).
+  // planner drains these into its event queue (quarantine can fire inside
+  // ApplyHealthEventsUpTo, which cannot see the planner's queue directly).
   std::vector<std::pair<double, std::size_t>> probe_timers_pending_;
 };
 
-// ------------------------------------------------------------ CLI plumbing
+// ------------------------------------------------------------ fault bursts
 
 // An injected fault burst: every accelerator attempt whose per-replica
-// invocation counter falls in [start, start + length) fails. Parsed from
-// the "START:LEN" syntax of --fault-burst / S2FA_FAULT_BURST.
+// invocation counter falls in [start, start + length) fails. Serving runs
+// script bursts as chaos-plan `burst START:LEN` statements (blaze/chaos.h);
+// tests and benches may also install these injectors on a service directly.
 struct FaultBurst {
   std::size_t start = 0;
   std::size_t length = 0;
 };
-std::optional<FaultBurst> ParseFaultBurst(const std::string& text);
+// Null for a zero-length burst (nothing to inject).
 AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst);
-
-// Comma-separated list of "START:LEN" windows. Rejects — fail-fast, with
-// MalformedInput — malformed windows, zero-length windows, and duplicate
-// or overlapping windows (silently merging them would hide a schedule
-// typo and change the injected fault count). Returns windows sorted by
-// start. An empty/whitespace-only string parses to an empty list.
-std::vector<FaultBurst> ParseFaultBursts(const std::string& text);
+// Fails an attempt that falls in any of the windows; zero-length windows
+// are dropped, and null when none remain.
 AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts);
 
 }  // namespace s2fa::blaze

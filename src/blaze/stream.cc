@@ -5,8 +5,8 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <queue>
 
+#include "blaze/event_queue.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -275,23 +275,11 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   }
 
   // ---- session event loop
+  // Arrivals rank before timers at the same instant.
   enum EventKind { kArrival = 0, kTimer = 1 };
-  struct Event {
-    double time_us;
-    int kind;
-    std::size_t order;  // push order: the deterministic tie-break
-    std::size_t payload;
-  };
-  auto later = [](const Event& a, const Event& b) {
-    if (a.time_us != b.time_us) return a.time_us > b.time_us;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.order > b.order;
-  };
-  std::priority_queue<Event, std::vector<Event>, decltype(later)> events(
-      later);
-  std::size_t event_order = 0;
-  auto push_event = [&](double at, int kind, std::size_t payload) {
-    events.push({at, kind, event_order++, payload});
+  EventQueue<std::size_t> events;  // payload: record seq or timer index
+  auto push_event = [&](double at, EventKind kind, std::size_t payload) {
+    events.Push(at, payload, kind);
   };
   for (std::size_t seq = 0; seq < recs.size(); ++seq) {
     push_event(recs[seq].arrival_us, kArrival, seq);
@@ -604,9 +592,8 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   };
 
   while (!events.empty()) {
-    const Event event = events.top();
-    events.pop();
-    if (event.kind == kArrival) {
+    const auto event = events.Pop();
+    if (event.rank == kArrival) {
       on_arrival(event.payload, event.time_us);
     } else {
       fire_timer(event.payload, event.time_us);

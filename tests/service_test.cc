@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "b2c/compiler.h"
+#include "blaze/event_queue.h"
 #include "blaze/service.h"
 #include "jvm/assembler.h"
 #include "s2fa/framework.h"
@@ -307,6 +308,25 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   ServiceOptions options;
   options.queue_capacity = 4;
   BlazeService service = fx.MakeService(options, 2);
+  // The injector fails exactly the invocations in [start, start + length);
+  // a zero-length burst injects nothing.
+  EXPECT_EQ(MakeBurstFaultInjector({3, 0}), nullptr);
+  AccelFaultInjector one = MakeBurstFaultInjector({3, 2});
+  EXPECT_FALSE(one("r0", 2, 0));
+  EXPECT_TRUE(one("r0", 3, 0));
+  EXPECT_TRUE(one("r0", 4, 1));
+  EXPECT_FALSE(one("r0", 5, 0));
+  EXPECT_EQ(MakeBurstFaultInjector(std::vector<FaultBurst>{}), nullptr);
+  EXPECT_EQ(MakeBurstFaultInjector(std::vector<FaultBurst>{{3, 0}}), nullptr);
+  AccelFaultInjector two = MakeBurstFaultInjector({{1, 2}, {6, 1}});
+  ASSERT_NE(two, nullptr);
+  EXPECT_FALSE(two("r0", 0, 0));
+  EXPECT_TRUE(two("r0", 1, 0));
+  EXPECT_TRUE(two("r0", 2, 0));
+  EXPECT_FALSE(two("r0", 3, 0));
+  EXPECT_TRUE(two("r0", 6, 0));
+  EXPECT_FALSE(two("r0", 7, 0));
+
   service.SetFaultInjector(MakeBurstFaultInjector({2, 8}));
   std::vector<ServiceRequest> requests;
   for (int i = 0; i < 24; ++i) {
@@ -431,79 +451,6 @@ TEST(ServiceTest, LatencyQuantileIsNearestRank) {
   EXPECT_THROW(stats.LatencyQuantile(1.5), Error);
 }
 
-TEST(ServiceTest, ParseFaultBurstSyntax) {
-  auto burst = ParseFaultBurst("10:5");
-  ASSERT_TRUE(burst.has_value());
-  EXPECT_EQ(burst->start, 10u);
-  EXPECT_EQ(burst->length, 5u);
-  EXPECT_FALSE(ParseFaultBurst("10").has_value());
-  EXPECT_FALSE(ParseFaultBurst("10:").has_value());
-  EXPECT_FALSE(ParseFaultBurst(":5").has_value());
-  EXPECT_FALSE(ParseFaultBurst("a:b").has_value());
-  EXPECT_FALSE(ParseFaultBurst("1.5:2").has_value());
-
-  EXPECT_EQ(MakeBurstFaultInjector({3, 0}), nullptr);
-  AccelFaultInjector injector = MakeBurstFaultInjector({3, 2});
-  EXPECT_FALSE(injector("r0", 2, 0));
-  EXPECT_TRUE(injector("r0", 3, 0));
-  EXPECT_TRUE(injector("r0", 4, 1));
-  EXPECT_FALSE(injector("r0", 5, 0));
-}
-
-TEST(ServiceTest, ParseFaultBurstsListSyntax) {
-  EXPECT_TRUE(ParseFaultBursts("").empty());
-  EXPECT_TRUE(ParseFaultBursts("  \t ").empty());
-  // Windows come back sorted by start regardless of input order.
-  auto bursts = ParseFaultBursts(" 10:5 , 2:3 ");
-  ASSERT_EQ(bursts.size(), 2u);
-  EXPECT_EQ(bursts[0].start, 2u);
-  EXPECT_EQ(bursts[0].length, 3u);
-  EXPECT_EQ(bursts[1].start, 10u);
-  EXPECT_EQ(bursts[1].length, 5u);
-  EXPECT_THROW(ParseFaultBursts("10"), MalformedInput);
-  EXPECT_THROW(ParseFaultBursts("10:5,"), MalformedInput);
-  EXPECT_THROW(ParseFaultBursts("10:5,a:b"), MalformedInput);
-  EXPECT_THROW(ParseFaultBursts("10:0"), MalformedInput);
-  // Overlaps would double-inject: rejected, not merged.
-  EXPECT_THROW(ParseFaultBursts("2:4,5:2"), MalformedInput);
-  EXPECT_THROW(ParseFaultBursts("2:4,2:4"), MalformedInput);
-  EXPECT_NO_THROW(ParseFaultBursts("2:3,5:2"));  // adjacent is fine
-
-  AccelFaultInjector injector =
-      MakeBurstFaultInjector(ParseFaultBursts("1:2,6:1"));
-  ASSERT_NE(injector, nullptr);
-  EXPECT_FALSE(injector("r0", 0, 0));
-  EXPECT_TRUE(injector("r0", 1, 0));
-  EXPECT_TRUE(injector("r0", 2, 0));
-  EXPECT_FALSE(injector("r0", 3, 0));
-  EXPECT_TRUE(injector("r0", 6, 0));
-  EXPECT_EQ(MakeBurstFaultInjector(ParseFaultBursts("")), nullptr);
-}
-
-TEST(ServiceTest, ParseFaultBurstsMessagesAreExact) {
-  // Operators paste burst lists into env vars; a typo must name the exact
-  // window and reason, so the messages are pinned verbatim.
-  auto message = [](const std::string& text) -> std::string {
-    try {
-      ParseFaultBursts(text);
-    } catch (const MalformedInput& e) {
-      return e.what();
-    }
-    return "<no MalformedInput thrown>";
-  };
-  EXPECT_EQ(message("10"), "fault burst '10' is not START:LEN");
-  EXPECT_EQ(message("10:5,a:b"), "fault burst 'a:b' is not START:LEN");
-  // A trailing comma leaves an empty window, which is still named.
-  EXPECT_EQ(message("10:5,"), "fault burst '' is not START:LEN");
-  EXPECT_EQ(message("10:0"), "fault burst '10:0' has zero length");
-  EXPECT_EQ(message("2:4,5:2"),
-            "fault bursts overlap: [2:4) and [5:2); merge or separate the "
-            "windows");
-  EXPECT_EQ(message("2:4,2:4"),
-            "fault bursts overlap: [2:4) and [2:4); merge or separate the "
-            "windows");
-}
-
 TEST(ServiceTest, CountHealthTracksReplicaStates) {
   Fixture fx(2);
   ServiceOptions options;
@@ -530,6 +477,52 @@ TEST(ServiceTest, CountHealthTracksReplicaStates) {
         service.CountHealth("doubler", counts.next_probe_us);
     EXPECT_GT(later.probe_ready, 0u);
   }
+}
+
+// ---------------------------------------------------------- event queue
+
+// Pops everything, returning the payloads in pop order.
+std::vector<int> DrainPayloads(EventQueue<int>& queue) {
+  std::vector<int> order;
+  while (!queue.empty()) order.push_back(queue.Pop().payload);
+  return order;
+}
+
+TEST(EventQueueTest, PopsInTimeOrder) {
+  EventQueue<int> queue;
+  queue.Push(30.0, 3);
+  queue.Push(10.0, 1);
+  queue.Push(20.0, 2);
+  queue.Push(5.0, 0);
+  EXPECT_DOUBLE_EQ(queue.NextTime(), 5.0);
+  const auto first = queue.Pop();
+  EXPECT_DOUBLE_EQ(first.time_us, 5.0);
+  EXPECT_EQ(first.payload, 0);
+  EXPECT_EQ(DrainPayloads(queue), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, RankBreaksTiesBeforePushOrder) {
+  EventQueue<int> queue;
+  queue.Push(10.0, 11, /*rank=*/1);
+  queue.Push(10.0, 20, /*rank=*/2);
+  queue.Push(10.0, 0, /*rank=*/0);
+  queue.Push(10.0, 12, /*rank=*/1);
+  queue.Push(9.0, -1, /*rank=*/5);  // earlier time beats any rank
+  EXPECT_EQ(DrainPayloads(queue), (std::vector<int>{-1, 0, 11, 12, 20}));
+}
+
+TEST(EventQueueTest, EqualTimeAndRankPopFifo) {
+  EventQueue<int> queue;
+  for (int i = 0; i < 64; ++i) queue.Push(7.0, i);
+  // Interleaved pushes after pops keep FIFO among the survivors too.
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) order.push_back(queue.Pop().payload);
+  queue.Push(7.0, 64);
+  queue.Push(7.0, 65);
+  for (int p : DrainPayloads(queue)) order.push_back(p);
+  std::vector<int> want(66);
+  for (int i = 0; i < 66; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, want);
 }
 
 }  // namespace

@@ -29,32 +29,35 @@
 //       batches retry once and then degrade to the host path.
 //   s2fa serve <app> [--replicas N] [--requests N] [--records N] [--seed N]
 //                    [--serve-queue N] [--hedge-quantile Q]
-//                    [--quarantine-window N] [--fault-burst START:LEN[,..]]
-//                    [--exec-threads N] [--shards N]
+//                    [--quarantine-window N] [--exec-threads N] [--shards N]
 //                    [--tenants NAME:WEIGHT[:QUOTA],..] [--chaos-plan PLAN]
-//       Build the accelerator, register N replicas behind the BlazeService
-//       serving layer, and replay a request stream against the simulated
-//       clock: bounded admission queue, per-replica health tracking with
-//       quarantine + probe re-enlistment, and hedged dispatch.
-//       --fault-burst fails every accelerator attempt whose per-replica
-//       invocation counter falls in [START, START+LEN); outputs are
-//       cross-checked against the native reference.
-//       --shards N serves through BlazeCluster instead: replicas spread
-//       round-robin over N fault domains, with micro-batching, failover,
-//       and weighted-fair tenancy. --tenants declares tenants (relative
-//       weight, optional queued quota) and assigns requests round-robin;
-//       --chaos-plan runs a scripted fault schedule (see blaze/chaos.h
-//       for the grammar); --routing health|depth picks the shard-selection
-//       policy (depth scores true outstanding backlog, so it routes around
-//       shards that owe invisible host work). Cluster runs print a
-//       per-tenant fairness table — sheds split by reason, completions by
-//       serving path — and keep the per-request reference cross-check.
+//                    [--routing health|depth]
+//       Build the accelerator and serve it through BlazeCluster, the one
+//       serving front door: N replicas spread round-robin over --shards
+//       fault domains (default 1), each shard a BlazeService with
+//       per-replica health tracking, quarantine + probe re-enlistment, and
+//       hedged dispatch. A request stream is replayed against the
+//       simulated clock through the cluster's bounded admission queue,
+//       micro-batching, failover, and weighted-fair tenancy. --tenants
+//       declares tenants (relative weight, optional queued quota) and
+//       assigns requests round-robin; --chaos-plan runs a scripted fault
+//       schedule — kills, restarts, `burst START:LEN[@SHARD]` windows that
+//       fail every accelerator attempt whose per-replica invocation counter
+//       falls in [START, START+LEN), spikes, floods, poison (see
+//       blaze/chaos.h for the grammar); --routing health|depth picks the
+//       shard-selection policy (depth scores true outstanding backlog, so
+//       it routes around shards that owe invisible host work). Replay runs
+//       print the cluster ledger, each shard's replica health and hedging,
+//       and a per-tenant fairness table — sheds split by reason,
+//       completions by serving path — and cross-check every served output
+//       against the native reference.
 //       --stream replays the workload through the streaming serving mode
 //       (StreamSession): rate-programmed continuous arrivals
-//       (--arrival-rate, a multiple of modeled capacity), SLO-bound
-//       micro-batching (--slo, microseconds), per-tenant retry budgets
-//       (--retry-budget REFILL_PER_SEC:BURST), and the brownout segment of
-//       the overload ladder (--brownout ONSET_US:SHED_US[:MAX_FRACTION]).
+//       (--arrival-rate, a multiple of the modeled capacity of every
+//       replica lane), SLO-bound micro-batching (--slo, microseconds),
+//       per-tenant retry budgets (--retry-budget REFILL_PER_SEC:BURST), and
+//       the brownout segment of the overload ladder
+//       (--brownout ONSET_US:SHED_US[:MAX_FRACTION]).
 //       Streaming runs print the overload-ladder ledger (shed reasons,
 //       close triggers, CoDel engagements, watermark) and exit non-zero on
 //       lost records, watermark regression, or reference mismatches.
@@ -76,15 +79,18 @@
 //
 // Global flags: --trace-out FILE --metrics-out FILE (enable the obs layer
 // and dump the span trace / aggregated summary), --log-level LEVEL.
+// Unknown flags and non-numeric values for numeric flags print an error
+// and exit 2.
 // Environment: S2FA_EVAL_TIMEOUT, S2FA_EVAL_RETRIES, S2FA_RESUME_JOURNAL,
 // S2FA_FAULT_RATE, S2FA_EVAL_CACHE and S2FA_TECHNIQUES mirror the
 // evaluation-stack flags;
 // S2FA_SERVE_QUEUE, S2FA_HEDGE_QUANTILE, S2FA_QUARANTINE_WINDOW,
-// S2FA_FAULT_BURST, S2FA_SHARDS, S2FA_TENANTS, S2FA_CHAOS_PLAN,
-// S2FA_ROUTING, S2FA_STREAM, S2FA_ARRIVAL_RATE, S2FA_SLO,
-// S2FA_RETRY_BUDGET and S2FA_BROWNOUT mirror the serving knobs;
+// S2FA_SHARDS, S2FA_TENANTS, S2FA_CHAOS_PLAN, S2FA_ROUTING, S2FA_STREAM,
+// S2FA_ARRIVAL_RATE, S2FA_SLO, S2FA_RETRY_BUDGET and S2FA_BROWNOUT mirror
+// the serving knobs;
 // S2FA_PROFILE_OUT and S2FA_PERF_THRESHOLD mirror the profiler knobs
 // (flags win).
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -95,7 +101,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.h"
@@ -122,6 +130,49 @@ using namespace s2fa;
 
 namespace {
 
+// A malformed command line: main prints the message and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// Strict numeric parsers: the whole string must be the number (no trailing
+// junk), so a typo'd value fails fast instead of silently truncating.
+std::optional<std::size_t> ParseSizeStrict(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || text.empty()) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseDoubleStrict(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return std::nullopt;
+  return value;
+}
+
+// Every flag some command reads. Anything else is a typo or a removed flag,
+// and silently ignoring it would run a different experiment.
+constexpr std::string_view kKnownFlags[] = {
+    // global
+    "trace-out", "metrics-out", "log-level",
+    // explore
+    "minutes", "cores", "seed", "vanilla", "no-seeds", "no-partition",
+    "techniques", "eval-timeout", "eval-retries", "resume-journal",
+    "fault-rate", "eval-cache", "scheduler",
+    // run, profile
+    "records", "accel-fault-rate", "top", "profile-out",
+    // serve
+    "replicas", "requests", "serve-queue", "hedge-quantile",
+    "quarantine-window", "exec-threads", "shards", "tenants", "chaos-plan",
+    "routing", "stream", "arrival-rate", "slo", "retry-budget", "brownout",
+    // perf-diff
+    "threshold",
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -129,7 +180,13 @@ struct Args {
   bool Has(const std::string& flag) const { return flags.count(flag) != 0; }
   double Num(const std::string& flag, double fallback) const {
     auto it = flags.find(flag);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    if (it == flags.end()) return fallback;
+    auto value = ParseDoubleStrict(it->second);
+    if (!value) {
+      throw UsageError("--" + flag + " expects a number, got '" +
+                       it->second + "'");
+    }
+    return *value;
   }
   std::string Str(const std::string& flag) const {
     auto it = flags.find(flag);
@@ -143,15 +200,16 @@ Args Parse(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
       std::string name = arg.substr(2);
-      // Either --name=value, a bare boolean flag, or --name value.
+      // Either --name=value, a bare boolean flag, or --name value (a
+      // trailing --name keeps an empty value, so it is still checked).
       std::size_t eq = name.find('=');
       if (eq != std::string::npos) {
         args.flags[name.substr(0, eq)] = name.substr(eq + 1);
       } else if (name == "vanilla" || name == "no-seeds" ||
                  name == "no-partition" || name == "stream") {
         args.flags[name] = "1";
-      } else if (i + 1 < argc) {
-        args.flags[name] = argv[++i];
+      } else {
+        args.flags[name] = i + 1 < argc ? argv[++i] : "";
       }
     } else {
       args.positional.push_back(arg);
@@ -176,9 +234,8 @@ int Usage() {
                "--seed N --minutes N\n"
                "                 --serve-queue N --hedge-quantile Q "
                "--quarantine-window N\n"
-               "                 --fault-burst START:LEN[,..] "
-               "--exec-threads N\n"
-               "                 --shards N --tenants NAME:WEIGHT[:QUOTA],.. "
+               "                 --exec-threads N --shards N (default 1)\n"
+               "                 --tenants NAME:WEIGHT[:QUOTA],.. "
                "--chaos-plan PLAN\n"
                "                 --routing health|depth --stream "
                "--arrival-rate R --slo US\n"
@@ -195,8 +252,7 @@ int Usage() {
                "S2FA_RESUME_JOURNAL S2FA_FAULT_RATE S2FA_EVAL_CACHE\n"
                "                 S2FA_SCHEDULER S2FA_SERVE_QUEUE "
                "S2FA_HEDGE_QUANTILE S2FA_QUARANTINE_WINDOW\n"
-               "                 S2FA_FAULT_BURST S2FA_SHARDS S2FA_TENANTS "
-               "S2FA_CHAOS_PLAN\n"
+               "                 S2FA_SHARDS S2FA_TENANTS S2FA_CHAOS_PLAN\n"
                "                 S2FA_ROUTING S2FA_STREAM S2FA_ARRIVAL_RATE "
                "S2FA_SLO S2FA_RETRY_BUDGET S2FA_BROWNOUT\n"
                "                 S2FA_PROFILE_OUT S2FA_PERF_THRESHOLD\n");
@@ -523,25 +579,6 @@ int CmdRun(apps::App& app, const Args& args) {
   return mismatches == 0 ? 0 : 1;
 }
 
-// Strict numeric parsers for the serving knobs: the whole string must be
-// the number (no trailing junk), so a typo'd knob fails fast instead of
-// silently truncating.
-std::optional<std::size_t> ParseSizeStrict(const std::string& text) {
-  std::size_t value = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || text.empty()) return std::nullopt;
-  return value;
-}
-
-std::optional<double> ParseDoubleStrict(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return value;
-}
-
 // Serving knobs resolved environment-first (flags win), each validated
 // fail-fast in the same style as the evaluation-stack knobs. Returns
 // false after printing the offending knob.
@@ -553,8 +590,7 @@ struct TenantSpec {
 
 struct ServeKnobs {
   blaze::ServiceOptions options;
-  std::vector<blaze::FaultBurst> bursts;
-  std::size_t shards = 0;  // 0 = single-service mode
+  std::size_t shards = 1;
   std::vector<TenantSpec> tenants;
   blaze::ChaosPlan chaos;
   bool has_chaos = false;
@@ -649,18 +685,6 @@ bool ResolveServeKnobs(const Args& args, ServeKnobs& knobs) {
       return false;
     }
     knobs.options.health_window = *window;
-  }
-  text.clear();
-  if (resolve("S2FA_FAULT_BURST", "fault-burst", text)) {
-    try {
-      knobs.bursts = blaze::ParseFaultBursts(text);
-    } catch (const MalformedInput& e) {
-      std::fprintf(stderr,
-                   "error: --fault-burst/S2FA_FAULT_BURST expects "
-                   "non-overlapping START:LEN windows (e.g. 4:3,10:2): %s\n",
-                   e.what());
-      return false;
-    }
   }
   text.clear();
   if (resolve("S2FA_SHARDS", "shards", text)) {
@@ -785,12 +809,6 @@ bool ResolveServeKnobs(const Args& args, ServeKnobs& knobs) {
     knobs.brownout_fraction = *fraction;
     knobs.has_brownout = true;
   }
-  if ((knobs.has_chaos || !knobs.tenants.empty() || knobs.stream) &&
-      knobs.shards == 0) {
-    // Chaos schedules, tenancy, and streaming are cluster features;
-    // default to one fault domain rather than silently ignoring them.
-    knobs.shards = 1;
-  }
   const int exec_threads = static_cast<int>(args.Num("exec-threads", 1));
   if (exec_threads < 1) {
     std::fprintf(stderr, "error: --exec-threads must be >= 1\n");
@@ -832,17 +850,10 @@ std::size_t CountMismatches(const blaze::Dataset& want,
 // record reached exactly one terminal state, the external watermark never
 // regressed, and every committed output matches the native reference.
 int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
-                   blaze::BlazeCluster& cluster, blaze::BlazeRuntime& runtime,
-                   const std::vector<std::string>& ids, int requests,
+                   blaze::BlazeCluster& cluster, int requests,
                    std::size_t records, std::uint64_t seed,
                    const blaze::Dataset* bc) {
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double record_us =
-      static_cast<double>(
-          std::max<std::size_t>(1, (records + batch - 1) / batch)) *
-      per.total_us;
+  const double record_us = cluster.AccelUsFor(app.name, records);
 
   blaze::StreamOptions sopts;
   sopts.slo_us = knobs.slo_us > 0 ? knobs.slo_us : 30.0 * record_us;
@@ -862,7 +873,7 @@ int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
 
   // One arrival phase per declared tenant, all spanning the same window;
   // the aggregate rate is `arrival_rate` times the modeled capacity of
-  // `shards` lanes.
+  // every replica lane (one per replica, across all shards).
   std::vector<std::string> tenant_names;
   for (const TenantSpec& spec : knobs.tenants) {
     tenant_names.push_back(spec.name);
@@ -870,7 +881,7 @@ int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
   if (tenant_names.empty()) tenant_names.push_back("default");
   const double duration_us =
       static_cast<double>(requests) * record_us /
-      (static_cast<double>(knobs.shards) * knobs.arrival_rate);
+      (static_cast<double>(cluster.LiveLanesAt(0)) * knobs.arrival_rate);
   blaze::ArrivalSchedule schedule;
   for (std::size_t t = 0; t < tenant_names.size(); ++t) {
     blaze::ArrivalPhase phase;
@@ -963,15 +974,42 @@ int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
   return (lost == 0 && mismatches == 0 && watermark_monotone) ? 0 : 1;
 }
 
-// Serves the request stream through BlazeCluster: replicas spread
-// round-robin over `knobs.shards` fault domains, requests assigned to the
-// declared tenants round-robin, optional scripted chaos. Prints the
-// cluster ledger plus a per-tenant fairness table; exit 0 only when
-// nothing was lost and every served output matches the native reference.
-int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
-                        blaze::BlazeRuntime& runtime,
-                        const std::vector<std::string>& ids, int requests,
-                        std::size_t records, std::uint64_t seed) {
+// Serves the request stream through BlazeCluster, the only serving path:
+// replicas spread round-robin over `knobs.shards` fault domains, requests
+// assigned to the declared tenants round-robin, optional scripted chaos.
+// Prints the cluster ledger, each shard's replica health and hedging, and
+// a per-tenant fairness table; exit 0 only when nothing was lost and every
+// served output matches the native reference.
+int CmdServe(apps::App& app, const Args& args) {
+  ServeKnobs knobs;
+  if (!ResolveServeKnobs(args, knobs)) return 2;
+  const int replicas = static_cast<int>(args.Num("replicas", 2));
+  const int requests = static_cast<int>(args.Num("requests", 32));
+  const std::size_t records =
+      static_cast<std::size_t>(args.Num("records", 256));
+  const std::uint64_t seed = static_cast<std::uint64_t>(args.Num("seed", 1));
+  if (replicas < 1 || requests < 1 || records < 1) {
+    std::fprintf(stderr,
+                 "error: --replicas, --requests and --records must be >= 1\n");
+    return 2;
+  }
+  knobs.options.seed = seed;
+
+  FrameworkOptions options;
+  options.dse.time_limit_minutes = args.Num("minutes", 120);
+  options.dse.seed = seed;
+  Artifact artifact = BuildAccelerator(*app.pool, app.spec, options);
+  std::printf("built %s: %.0f cycles @ %.0f MHz (%zu points explored)\n",
+              app.name.c_str(), artifact.best_hls.cycles,
+              artifact.best_hls.freq_mhz, artifact.exploration.evaluations);
+
+  blaze::BlazeRuntime runtime;
+  std::vector<std::string> ids;
+  for (int i = 0; i < replicas; ++i) {
+    ids.push_back(app.name + "#" + std::to_string(i));
+    RegisterWithBlaze(runtime, ids.back(), artifact);
+  }
+
   blaze::ClusterOptions coptions;
   coptions.shard_options = knobs.options;
   coptions.exec_threads = knobs.options.exec_threads;
@@ -990,20 +1028,12 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
   }
   if (tenant_names.empty()) tenant_names.push_back("default");
 
-  Rng rng(seed);
   blaze::Dataset broadcast;
   const blaze::Dataset* bc = nullptr;
   if (app.make_broadcast) {
     Rng brng(seed ^ 0xBCA57ULL);
     broadcast = app.make_broadcast(brng);
     bc = &broadcast;
-  }
-  // --fault-burst windows become unscoped chaos bursts (every shard).
-  for (const blaze::FaultBurst& burst : knobs.bursts) {
-    blaze::ChaosBurst chaos_burst;
-    chaos_burst.window = burst;
-    knobs.chaos.bursts.push_back(chaos_burst);
-    knobs.has_chaos = true;
   }
   if (knobs.has_chaos) {
     try {
@@ -1026,20 +1056,16 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
   }
 
   if (knobs.stream) {
-    return RunStreamServe(app, knobs, cluster, runtime, ids, requests,
-                          records, seed, bc);
+    return RunStreamServe(app, knobs, cluster, requests, records, seed, bc);
   }
 
-  // Open-loop arrivals near the full cluster's service rate.
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double request_us =
-      static_cast<double>(std::max<std::size_t>(
-          1, (records + batch - 1) / batch)) *
-      per.total_us;
+  // Open-loop arrivals near the full cluster's service rate, with
+  // deterministic jitter: enough pressure to queue without drowning the
+  // admission gate.
+  const double request_us = cluster.AccelUsFor(app.name, records);
   const double spacing_us =
       0.8 * request_us / static_cast<double>(ids.size());
+  Rng rng(seed);
   std::vector<blaze::ClusterRequest> stream;
   std::vector<blaze::Dataset> expected;
   double arrival = 0;
@@ -1105,6 +1131,30 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
                 "restarts, %.1f ms busy (%.1f ms wasted)\n",
                 i, shard.batches, shard.requests, shard.kills,
                 shard.restarts, shard.busy_us / 1e3, shard.wasted_us / 1e3);
+    // The shard's BlazeService since its last (re)start: the replica
+    // health state machine and service-level hedging.
+    const blaze::BlazeService& service = cluster.shard_service(i);
+    const blaze::ServiceStats& ss = service.stats();
+    if (ss.accel_failures > 0 || ss.probes > 0) {
+      std::printf("  health:  %zu failed attempts (%zu crash, %zu timeout), "
+                  "%zu degradations, %zu quarantines, %zu probes "
+                  "(%zu ok / %zu failed), %zu re-enlistments\n",
+                  ss.accel_failures, ss.crashes, ss.timeouts,
+                  ss.degradations, ss.quarantines, ss.probes,
+                  ss.probe_successes, ss.probe_failures, ss.reenlistments);
+    }
+    if (ss.hedges_launched > 0) {
+      std::printf("  hedging: %zu launched, %zu won (%.3f ms saved), %zu "
+                  "cancelled, %.3f ms of losers' charges not billed\n",
+                  ss.hedges_launched, ss.hedges_won, ss.hedge_saved_us / 1e3,
+                  ss.hedges_cancelled, ss.cancelled_charge_us / 1e3);
+    }
+    std::string health;
+    for (std::size_t r = i; r < ids.size(); r += knobs.shards) {
+      health += (r == i ? "" : ", ") + ids[r] + "=" +
+                blaze::HealthName(service.health(ids[r]));
+    }
+    if (!health.empty()) std::printf("  replicas: %s\n", health.c_str());
   }
   // Shed columns split by reason (queue-full vs quota throttle) and
   // completions by serving path, so fairness regressions show *why* a
@@ -1127,153 +1177,6 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
   }
   std::printf("%s", table.Render().c_str());
   std::printf("mismatches vs reference: %zu\n", mismatches);
-  return (lost == 0 && mismatches == 0) ? 0 : 1;
-}
-
-int CmdServe(apps::App& app, const Args& args) {
-  ServeKnobs knobs;
-  if (!ResolveServeKnobs(args, knobs)) return 2;
-  const int replicas = static_cast<int>(args.Num("replicas", 2));
-  const int requests = static_cast<int>(args.Num("requests", 32));
-  const std::size_t records =
-      static_cast<std::size_t>(args.Num("records", 256));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Num("seed", 1));
-  if (replicas < 1 || requests < 1 || records < 1) {
-    std::fprintf(stderr,
-                 "error: --replicas, --requests and --records must be >= 1\n");
-    return 2;
-  }
-  knobs.options.seed = seed;
-
-  FrameworkOptions options;
-  options.dse.time_limit_minutes = args.Num("minutes", 120);
-  options.dse.seed = seed;
-  Artifact artifact = BuildAccelerator(*app.pool, app.spec, options);
-  std::printf("built %s: %.0f cycles @ %.0f MHz (%zu points explored)\n",
-              app.name.c_str(), artifact.best_hls.cycles,
-              artifact.best_hls.freq_mhz, artifact.exploration.evaluations);
-
-  blaze::BlazeRuntime runtime;
-  std::vector<std::string> ids;
-  for (int i = 0; i < replicas; ++i) {
-    ids.push_back(app.name + "#" + std::to_string(i));
-    RegisterWithBlaze(runtime, ids.back(), artifact);
-  }
-  if (knobs.shards > 0) {
-    return ServeThroughCluster(app, knobs, runtime, ids, requests, records,
-                               seed);
-  }
-  blaze::BlazeService service(runtime, knobs.options);
-  for (const std::string& id : ids) service.AddReplica(app.name, id);
-  if (!knobs.bursts.empty()) {
-    service.SetFaultInjector(blaze::MakeBurstFaultInjector(knobs.bursts));
-    for (const blaze::FaultBurst& burst : knobs.bursts) {
-      std::printf("fault burst: per-replica invocations [%zu, %zu) fail\n",
-                  burst.start, burst.start + burst.length);
-    }
-  }
-
-  Rng rng(seed);
-  blaze::Dataset broadcast;
-  const blaze::Dataset* bc = nullptr;
-  if (app.make_broadcast) {
-    Rng brng(seed ^ 0xBCA57ULL);
-    broadcast = app.make_broadcast(brng);
-    bc = &broadcast;
-  }
-
-  // Open-loop arrivals near the group's service rate, with deterministic
-  // jitter: enough pressure to queue without drowning the admission gate.
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double request_us =
-      static_cast<double>(std::max<std::size_t>(
-          1, (records + batch - 1) / batch)) *
-      per.total_us;
-  const double spacing_us = 0.8 * request_us / replicas;
-  std::vector<blaze::ServiceRequest> stream;
-  std::vector<blaze::Dataset> expected;
-  double arrival = 0;
-  for (int i = 0; i < requests; ++i) {
-    blaze::ServiceRequest rq;
-    rq.kernel = app.name;
-    rq.input = app.make_input(records, rng);
-    rq.broadcast = bc;
-    rq.arrival_us = arrival;
-    arrival += spacing_us * rng.NextDouble(0.5, 1.5);
-    expected.push_back(app.reference(rq.input, bc));
-    stream.push_back(std::move(rq));
-  }
-  std::vector<blaze::RequestOutcome> outcomes =
-      service.Run(std::move(stream));
-
-  // Functional cross-check of every completed request against the native
-  // reference (same tolerance as `run`).
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const blaze::RequestOutcome& o = outcomes[i];
-    if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-        o.outcome == blaze::ServeOutcome::kShedExpired) {
-      continue;
-    }
-    for (std::size_t c = 0; c < expected[i].num_columns(); ++c) {
-      const blaze::Column& want = expected[i].column(c);
-      const blaze::Column& got = o.output.ColumnByField(want.field);
-      for (std::size_t n = 0; n < want.data.size(); ++n) {
-        double w = want.data[n].is_float() ? want.data[n].AsFloat()
-                   : want.data[n].is_double()
-                       ? want.data[n].AsDouble()
-                       : static_cast<double>(want.data[n].AsInt());
-        double g = got.data[n].is_float() ? got.data[n].AsFloat()
-                   : got.data[n].is_double()
-                       ? got.data[n].AsDouble()
-                       : static_cast<double>(got.data[n].AsInt());
-        if (std::fabs(g - w) > 1e-4 * std::max(1.0, std::fabs(w))) {
-          ++mismatches;
-        }
-      }
-    }
-  }
-
-  const blaze::ServiceStats& s = service.stats();
-  const std::size_t lost = s.admitted - (s.completed + s.shed_expired);
-  std::printf("serving %d requests x %zu records on %d replica%s "
-              "(queue %zu, hedge q=%.2f, window %zu, %d exec threads)\n",
-              requests, records, replicas, replicas == 1 ? "" : "s",
-              knobs.options.queue_capacity, knobs.options.hedge_quantile,
-              knobs.options.health_window, knobs.options.exec_threads);
-  std::printf("admitted:  %zu/%zu (%zu rejected at the gate, %zu shed "
-              "expired), max queue depth %zu\n",
-              s.admitted, s.submitted, s.rejected_full, s.shed_expired,
-              s.max_queue_depth);
-  std::printf("completed: %zu (%zu accelerator, %zu host, %zu hedged host), "
-              "%zu lost, %zu deadline misses\n",
-              s.completed, s.completed_accel, s.completed_host,
-              s.completed_hedge, lost, s.deadline_misses);
-  std::printf("latency:   p50 %.0f / p95 %.0f / p99 %.0f us\n",
-              s.LatencyQuantile(0.5), s.LatencyQuantile(0.95),
-              s.LatencyQuantile(0.99));
-  if (s.accel_failures > 0 || s.probes > 0) {
-    std::printf("health:    %zu failed attempts (%zu crash, %zu timeout), "
-                "%zu degradations, %zu quarantines, %zu probes "
-                "(%zu ok / %zu failed), %zu re-enlistments\n",
-                s.accel_failures, s.crashes, s.timeouts, s.degradations,
-                s.quarantines, s.probes, s.probe_successes, s.probe_failures,
-                s.reenlistments);
-  }
-  if (s.hedges_launched > 0) {
-    std::printf("hedging:   %zu launched, %zu won (%.3f ms saved), %zu "
-                "cancelled, %.3f ms of losers' charges not billed\n",
-                s.hedges_launched, s.hedges_won, s.hedge_saved_us / 1e3,
-                s.hedges_cancelled, s.cancelled_charge_us / 1e3);
-  }
-  std::printf("replicas:  ");
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    std::printf("%s%s=%s", i == 0 ? "" : ", ", ids[i].c_str(),
-                blaze::HealthName(service.health(ids[i])));
-  }
-  std::printf("\nmismatches vs reference: %zu\n", mismatches);
   return (lost == 0 && mismatches == 0) ? 0 : 1;
 }
 
@@ -1390,6 +1293,13 @@ int CmdPerfDiff(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args = Parse(argc, argv);
+  for (const auto& [name, value] : args.flags) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      return Usage();
+    }
+  }
   if (args.positional.empty()) return Usage();
   const std::string& cmd = args.positional[0];
 
@@ -1440,6 +1350,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
     }
     return rc;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
