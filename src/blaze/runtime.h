@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "blaze/serialization.h"
@@ -44,6 +45,9 @@ struct RegisteredAccelerator {
   kir::Kernel design;        // Merlin-transformed kernel (best config)
   hls::HlsResult hls;        // its synthesis result
   SerializationPlan plan;    // interface layout
+  // `design` compiled once by AcceleratorManager::Register and shared by
+  // every Map/Reduce call (and thread) that runs it.
+  std::shared_ptr<const kir::Program> program;
 };
 
 struct ExecutionStats {

@@ -10,6 +10,13 @@ namespace {
 
 constexpr int kMaxCallDepth = 256;
 
+// Java int/long arithmetic wraps: compute in the unsigned type (where
+// overflow is defined) and cast back.
+std::uint32_t Unsigned(std::int32_t v) { return static_cast<std::uint32_t>(v); }
+std::uint64_t Unsigned(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+std::int32_t WrapInt(std::uint32_t v) { return static_cast<std::int32_t>(v); }
+std::int64_t WrapLong(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+
 std::int32_t CmpResult(double a, double b, bool nan_is_less) {
   if (std::isnan(a) || std::isnan(b)) return nan_is_less ? -1 : 1;
   if (a < b) return -1;
@@ -204,7 +211,9 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
         break;
       case Opcode::kIInc: {
         Value& v = locals.at(static_cast<std::size_t>(insn.slot));
-        v = Value::OfInt(v.AsInt() + static_cast<std::int32_t>(insn.const_i));
+        v = Value::OfInt(WrapInt(Unsigned(v.AsInt()) +
+                                 Unsigned(static_cast<std::int32_t>(
+                                     insn.const_i))));
         break;
       }
       case Opcode::kArrayLoad: {
@@ -260,9 +269,9 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             std::int32_t y = b.AsInt();
             std::int32_t r = 0;
             switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
+              case BinOp::kAdd: r = WrapInt(Unsigned(x) + Unsigned(y)); break;
+              case BinOp::kSub: r = WrapInt(Unsigned(x) - Unsigned(y)); break;
+              case BinOp::kMul: r = WrapInt(Unsigned(x) * Unsigned(y)); break;
               case BinOp::kDiv:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
                 r = (x == INT32_MIN && y == -1) ? INT32_MIN : x / y;
@@ -271,7 +280,7 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
                 S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
                 r = (x == INT32_MIN && y == -1) ? 0 : x % y;
                 break;
-              case BinOp::kShl: r = x << (y & 31); break;
+              case BinOp::kShl: r = WrapInt(Unsigned(x) << (y & 31)); break;
               case BinOp::kShr: r = x >> (y & 31); break;
               case BinOp::kUShr:
                 r = static_cast<std::int32_t>(
@@ -287,26 +296,30 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             break;
           }
           case TypeKind::kLong: {
+            // Shift counts are ints (lshl/lshr/lushr); every other long
+            // op takes two longs.
+            const bool shift = insn.bin_op == BinOp::kShl ||
+                               insn.bin_op == BinOp::kShr ||
+                               insn.bin_op == BinOp::kUShr;
             std::int64_t x = a.AsLong();
-            std::int64_t y = b.AsLong();
+            std::int64_t y = shift ? b.AsInt() : b.AsLong();
             std::int64_t r = 0;
             switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
+              case BinOp::kAdd: r = WrapLong(Unsigned(x) + Unsigned(y)); break;
+              case BinOp::kSub: r = WrapLong(Unsigned(x) - Unsigned(y)); break;
+              case BinOp::kMul: r = WrapLong(Unsigned(x) * Unsigned(y)); break;
               case BinOp::kDiv:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
-                r = x / y;
+                r = (x == INT64_MIN && y == -1) ? INT64_MIN : x / y;
                 break;
               case BinOp::kRem:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
-                r = x % y;
+                r = (x == INT64_MIN && y == -1) ? 0 : x % y;
                 break;
-              case BinOp::kShl: r = x << (b.AsInt() & 63); break;
-              case BinOp::kShr: r = x >> (b.AsInt() & 63); break;
+              case BinOp::kShl: r = WrapLong(Unsigned(x) << (y & 63)); break;
+              case BinOp::kShr: r = x >> (y & 63); break;
               case BinOp::kUShr:
-                r = static_cast<std::int64_t>(
-                    static_cast<std::uint64_t>(x) >> (b.AsInt() & 63));
+                r = WrapLong(Unsigned(x) >> (y & 63));
                 break;
               case BinOp::kAnd: r = x & y; break;
               case BinOp::kOr: r = x | y; break;
@@ -361,9 +374,12 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
       case Opcode::kNeg: {
         Value a = pop();
         switch (insn.type.kind()) {
-          case TypeKind::kInt: stack.push_back(Value::OfInt(-a.AsInt())); break;
+          case TypeKind::kInt:
+            stack.push_back(Value::OfInt(WrapInt(0u - Unsigned(a.AsInt()))));
+            break;
           case TypeKind::kLong:
-            stack.push_back(Value::OfLong(-a.AsLong()));
+            stack.push_back(
+                Value::OfLong(WrapLong(0u - Unsigned(a.AsLong()))));
             break;
           case TypeKind::kFloat:
             stack.push_back(Value::OfFloat(-a.AsFloat()));
@@ -378,6 +394,34 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
       }
       case Opcode::kConvert: {
         Value a = pop();
+        if ((insn.type.kind() == TypeKind::kInt ||
+             insn.type.kind() == TypeKind::kLong) &&
+            insn.type2.is_integral() &&
+            insn.type2.kind() != TypeKind::kBoolean) {
+          // i2l, l2i and the int narrowings: exact two's-complement
+          // truncation (a round trip through double loses long bits).
+          const std::int64_t x = insn.type.kind() == TypeKind::kLong
+                                     ? a.AsLong()
+                                     : static_cast<std::int64_t>(a.AsInt());
+          switch (insn.type2.kind()) {
+            case TypeKind::kLong:
+              stack.push_back(Value::OfLong(x));
+              break;
+            case TypeKind::kByte:
+              stack.push_back(Value::OfInt(static_cast<std::int8_t>(x)));
+              break;
+            case TypeKind::kChar:
+              stack.push_back(Value::OfInt(static_cast<std::uint16_t>(x)));
+              break;
+            case TypeKind::kShort:
+              stack.push_back(Value::OfInt(static_cast<std::int16_t>(x)));
+              break;
+            default:
+              stack.push_back(Value::OfInt(static_cast<std::int32_t>(x)));
+              break;
+          }
+          break;
+        }
         auto as_double = [&]() -> double {
           switch (insn.type.kind()) {
             case TypeKind::kInt: return a.AsInt();

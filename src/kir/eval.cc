@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <type_traits>
 
 #include "support/error.h"
 
@@ -9,188 +11,1160 @@ namespace s2fa::kir {
 
 namespace {
 
-// Coerces a Value to the numeric domain of `type` (the IR is typed, so this
-// only bridges int-width families, matching C implicit conversion).
-double ToDouble(const Value& v) {
-  if (v.is_int()) return v.AsInt();
-  if (v.is_long()) return static_cast<double>(v.AsLong());
-  if (v.is_float()) return v.AsFloat();
-  return v.AsDouble();
+constexpr std::uint64_t kMaxSteps = 2'000'000'000ULL;
+
+// The static value kind of a node, variable or buffer: the Value
+// alternative Java semantics produce there.
+enum class VKind : std::uint8_t { kInt, kLong, kFloat, kDouble };
+
+// How a word holds a node's value: int and long sign-extended in `i`,
+// float in `f`, double in `d`.
+enum class View : std::uint8_t { kI64, kF32, kF64 };
+
+// Where a node reads an operand: through the operand node's function, or
+// inline when the operand is one of the two common leaves, a variable or a
+// literal (same checks, no indirect call).
+enum class Src : std::uint8_t { kNode, kVar, kLit };
+
+union Word {
+  std::int64_t i;
+  float f;
+  double d;
+};
+
+Word I64(std::int64_t v) {
+  Word w{};
+  w.i = v;
+  return w;
 }
 
-std::int64_t ToInt64(const Value& v) {
-  if (v.is_int()) return v.AsInt();
-  if (v.is_long()) return v.AsLong();
-  if (v.is_float()) return static_cast<std::int64_t>(v.AsFloat());
-  return static_cast<std::int64_t>(v.AsDouble());
+Word F32(float v) {
+  Word w{};
+  w.f = v;
+  return w;
 }
 
-Value FromDouble(TypeKind kind, double d) {
-  switch (kind) {
-    case TypeKind::kFloat:
-      return Value::OfFloat(static_cast<float>(d));
-    case TypeKind::kDouble:
-      return Value::OfDouble(d);
-    case TypeKind::kLong:
-      return Value::OfLong(static_cast<std::int64_t>(d));
-    default:
-      return Value::OfInt(static_cast<std::int32_t>(d));
-  }
+Word F64(double v) {
+  Word w{};
+  w.d = v;
+  return w;
 }
 
-Value NarrowToKind(TypeKind kind, const Value& v) {
-  switch (kind) {
+std::optional<VKind> KindOf(TypeKind t) {
+  switch (t) {
     case TypeKind::kBoolean:
-      return Value::OfInt(ToInt64(v) != 0 ? 1 : 0);
     case TypeKind::kByte:
-      return Value::OfInt(static_cast<std::int8_t>(ToInt64(v)));
     case TypeKind::kChar:
-      return Value::OfInt(static_cast<std::uint16_t>(ToInt64(v)));
     case TypeKind::kShort:
-      return Value::OfInt(static_cast<std::int16_t>(ToInt64(v)));
     case TypeKind::kInt:
-      return Value::OfInt(static_cast<std::int32_t>(ToInt64(v)));
+      return VKind::kInt;
     case TypeKind::kLong:
-      return Value::OfLong(ToInt64(v));
+      return VKind::kLong;
     case TypeKind::kFloat:
-      return Value::OfFloat(static_cast<float>(ToDouble(v)));
+      return VKind::kFloat;
     case TypeKind::kDouble:
-      return Value::OfDouble(ToDouble(v));
+      return VKind::kDouble;
     default:
-      throw InternalError("bad element type in evaluator");
+      return std::nullopt;
   }
 }
 
-Value NarrowToElement(const Type& type, const Value& v) {
-  return NarrowToKind(type.kind(), v);
+View ViewOf(VKind k) {
+  switch (k) {
+    case VKind::kFloat: return View::kF32;
+    case VKind::kDouble: return View::kF64;
+    default: return View::kI64;
+  }
 }
 
-// Comparison with exact integral semantics: two longs must compare by
-// value, not by their nearest double (above 2^53 adjacent longs collapse
-// to the same double and used to compare equal).
-bool CompareValues(BinaryOp op, bool integral, const Value& a,
-                   const Value& b) {
-  if (integral) {
-    const std::int64_t x = ToInt64(a);
-    const std::int64_t y = ToInt64(b);
-    switch (op) {
-      case BinaryOp::kLt: return x < y;
-      case BinaryOp::kLe: return x <= y;
-      case BinaryOp::kGt: return x > y;
-      case BinaryOp::kGe: return x >= y;
-      case BinaryOp::kEq: return x == y;
-      case BinaryOp::kNe: return x != y;
-      default: return false;
+// The view of a value produced at type `t` (a cast, call or literal).
+View ViewOf(TypeKind t) {
+  if (t == TypeKind::kFloat) return View::kF32;
+  if (t == TypeKind::kDouble) return View::kF64;
+  return View::kI64;
+}
+
+const char* KindName(VKind k) {
+  switch (k) {
+    case VKind::kInt: return "int";
+    case VKind::kLong: return "long";
+    case VKind::kFloat: return "float";
+    case VKind::kDouble: return "double";
+  }
+  return "?";
+}
+
+const char* ValueKindName(const Value& v) {
+  if (v.is_int()) return "int";
+  if (v.is_long()) return "long";
+  if (v.is_float()) return "float";
+  if (v.is_double()) return "double";
+  return "reference";
+}
+
+bool HasKind(const Value& v, VKind k) {
+  switch (k) {
+    case VKind::kInt: return v.is_int();
+    case VKind::kLong: return v.is_long();
+    case VKind::kFloat: return v.is_float();
+    case VKind::kDouble: return v.is_double();
+  }
+  return false;
+}
+
+Word Load(VKind k, const Value& v) {
+  switch (k) {
+    case VKind::kInt: return I64(v.AsInt());
+    case VKind::kLong: return I64(v.AsLong());
+    case VKind::kFloat: return F32(v.AsFloat());
+    case VKind::kDouble: return F64(v.AsDouble());
+  }
+  S2FA_UNREACHABLE("bad value kind");
+}
+
+// Reads a word as the int64 / float / double the old dynamic walker's
+// ToInt64 / (float)ToDouble / ToDouble produced from a Value of view V.
+template <View V>
+std::int64_t AsI64(Word w) {
+  if constexpr (V == View::kI64) return w.i;
+  if constexpr (V == View::kF32) return static_cast<std::int64_t>(w.f);
+  if constexpr (V == View::kF64) return static_cast<std::int64_t>(w.d);
+}
+
+template <View V>
+float AsF32(Word w) {
+  if constexpr (V == View::kI64) {
+    return static_cast<float>(static_cast<double>(w.i));
+  }
+  if constexpr (V == View::kF32) return w.f;
+  if constexpr (V == View::kF64) return static_cast<float>(w.d);
+}
+
+template <View V>
+double AsF64(Word w) {
+  if constexpr (V == View::kI64) return static_cast<double>(w.i);
+  if constexpr (V == View::kF32) return static_cast<double>(w.f);
+  if constexpr (V == View::kF64) return w.d;
+}
+
+template <View To, View From>
+Word Convert(Word w) {
+  if constexpr (To == View::kI64) return I64(AsI64<From>(w));
+  if constexpr (To == View::kF32) return F32(AsF32<From>(w));
+  if constexpr (To == View::kF64) return F64(AsF64<From>(w));
+}
+
+// The operand type of a float/double node in view V.
+template <View V>
+using FloatOf = std::conditional_t<V == View::kF32, float, double>;
+
+template <View V>
+auto Get(Word w) {
+  if constexpr (V == View::kI64) return w.i;
+  if constexpr (V == View::kF32) return w.f;
+  if constexpr (V == View::kF64) return w.d;
+}
+
+Word Put(float v) { return F32(v); }
+Word Put(double v) { return F64(v); }
+
+// Conversion to a store/cast type: the word of view V narrowed to TK, as
+// C's implicit conversion of the generated code (and Java's i2b/i2c/i2s).
+template <TypeKind TK, View V>
+Word Narrow(Word w) {
+  if constexpr (TK == TypeKind::kFloat) {
+    return F32(AsF32<V>(w));
+  } else if constexpr (TK == TypeKind::kDouble) {
+    return F64(AsF64<V>(w));
+  } else {
+    const std::int64_t x = AsI64<V>(w);
+    if constexpr (TK == TypeKind::kBoolean) return I64(x != 0 ? 1 : 0);
+    if constexpr (TK == TypeKind::kByte) {
+      return I64(static_cast<std::int8_t>(x));
+    }
+    if constexpr (TK == TypeKind::kChar) {
+      return I64(static_cast<std::uint16_t>(x));
+    }
+    if constexpr (TK == TypeKind::kShort) {
+      return I64(static_cast<std::int16_t>(x));
+    }
+    if constexpr (TK == TypeKind::kInt) {
+      return I64(static_cast<std::int32_t>(x));
+    }
+    if constexpr (TK == TypeKind::kLong) return I64(x);
+  }
+}
+
+// The Value a store of type TK writes into a buffer.
+template <TypeKind TK>
+Value Box(Word w) {
+  if constexpr (TK == TypeKind::kFloat) {
+    return Value::OfFloat(w.f);
+  } else if constexpr (TK == TypeKind::kDouble) {
+    return Value::OfDouble(w.d);
+  } else if constexpr (TK == TypeKind::kLong) {
+    return Value::OfLong(w.i);
+  } else {
+    return Value::OfInt(static_cast<std::int32_t>(w.i));
+  }
+}
+
+// ------------------------------------------------ compile-time dispatch
+//
+// Each With* helper maps a runtime enum onto a template argument, so the
+// compiler picks a node function by (kind, form, op, store kind) once.
+
+template <auto V>
+using Const = std::integral_constant<decltype(V), V>;
+
+template <typename Fn>
+auto WithView(View v, Fn&& fn) {
+  switch (v) {
+    case View::kI64: return fn(Const<View::kI64>{});
+    case View::kF32: return fn(Const<View::kF32>{});
+    case View::kF64: break;
+  }
+  return fn(Const<View::kF64>{});
+}
+
+template <typename Fn>
+auto WithStoreType(TypeKind t, Fn&& fn) {
+  switch (t) {
+    case TypeKind::kBoolean: return fn(Const<TypeKind::kBoolean>{});
+    case TypeKind::kByte: return fn(Const<TypeKind::kByte>{});
+    case TypeKind::kChar: return fn(Const<TypeKind::kChar>{});
+    case TypeKind::kShort: return fn(Const<TypeKind::kShort>{});
+    case TypeKind::kInt: return fn(Const<TypeKind::kInt>{});
+    case TypeKind::kLong: return fn(Const<TypeKind::kLong>{});
+    case TypeKind::kFloat: return fn(Const<TypeKind::kFloat>{});
+    case TypeKind::kDouble: return fn(Const<TypeKind::kDouble>{});
+    default: break;
+  }
+  S2FA_UNREACHABLE("non-primitive store type");
+}
+
+template <typename Fn>
+auto WithArithOp(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kAdd: return fn(Const<BinaryOp::kAdd>{});
+    case BinaryOp::kSub: return fn(Const<BinaryOp::kSub>{});
+    case BinaryOp::kMul: return fn(Const<BinaryOp::kMul>{});
+    case BinaryOp::kDiv: return fn(Const<BinaryOp::kDiv>{});
+    case BinaryOp::kRem: return fn(Const<BinaryOp::kRem>{});
+    case BinaryOp::kShl: return fn(Const<BinaryOp::kShl>{});
+    case BinaryOp::kShr: return fn(Const<BinaryOp::kShr>{});
+    case BinaryOp::kUShr: return fn(Const<BinaryOp::kUShr>{});
+    case BinaryOp::kAnd: return fn(Const<BinaryOp::kAnd>{});
+    case BinaryOp::kOr: return fn(Const<BinaryOp::kOr>{});
+    case BinaryOp::kXor: return fn(Const<BinaryOp::kXor>{});
+    case BinaryOp::kMin: return fn(Const<BinaryOp::kMin>{});
+    case BinaryOp::kMax: return fn(Const<BinaryOp::kMax>{});
+    default: break;
+  }
+  S2FA_UNREACHABLE("not an arithmetic op");
+}
+
+template <typename Fn>
+auto WithCmpOp(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kLt: return fn(Const<BinaryOp::kLt>{});
+    case BinaryOp::kLe: return fn(Const<BinaryOp::kLe>{});
+    case BinaryOp::kGt: return fn(Const<BinaryOp::kGt>{});
+    case BinaryOp::kGe: return fn(Const<BinaryOp::kGe>{});
+    case BinaryOp::kEq: return fn(Const<BinaryOp::kEq>{});
+    case BinaryOp::kNe: return fn(Const<BinaryOp::kNe>{});
+    default: break;
+  }
+  S2FA_UNREACHABLE("not a comparison");
+}
+
+template <typename Fn>
+auto WithIntrinsic(Intrinsic in, Fn&& fn) {
+  switch (in) {
+    case Intrinsic::kExp: return fn(Const<Intrinsic::kExp>{});
+    case Intrinsic::kLog: return fn(Const<Intrinsic::kLog>{});
+    case Intrinsic::kSqrt: return fn(Const<Intrinsic::kSqrt>{});
+    case Intrinsic::kAbs: return fn(Const<Intrinsic::kAbs>{});
+    case Intrinsic::kPow: break;
+  }
+  return fn(Const<Intrinsic::kPow>{});
+}
+
+template <typename Fn>
+auto WithSrc(Src s, Fn&& fn) {
+  switch (s) {
+    case Src::kVar: return fn(Const<Src::kVar>{});
+    case Src::kLit: return fn(Const<Src::kLit>{});
+    case Src::kNode: break;
+  }
+  return fn(Const<Src::kNode>{});
+}
+
+// Numeric form of a binary node, from its first operand's type.
+enum class Form : std::uint8_t {
+  kCmpInt,    // comparison, integral operands (exact int64 compare)
+  kCmpFloat,  // comparison, floating operands
+  kLogical,   // kLAnd / kLOr
+  kFloat32,   // float arithmetic (computed in float)
+  kFloat64,   // double arithmetic
+  kInt32,     // int-family arithmetic (computed in int64, narrowed)
+  kInt64,     // long arithmetic
+};
+
+Form FormOf(const Expr& e) {
+  const Type& t = e.operands()[0]->type();
+  const BinaryOp op = e.binary_op();
+  if (IsComparison(op)) {
+    return t.is_integral() ? Form::kCmpInt : Form::kCmpFloat;
+  }
+  if (op == BinaryOp::kLAnd || op == BinaryOp::kLOr) return Form::kLogical;
+  if (t.kind() == TypeKind::kFloat) return Form::kFloat32;
+  if (t.kind() == TypeKind::kDouble) return Form::kFloat64;
+  if (t.kind() == TypeKind::kLong) return Form::kInt64;
+  return Form::kInt32;
+}
+
+}  // namespace
+
+// ----------------------------------------------------------------------
+// The compiled program and the per-run frame.
+// ----------------------------------------------------------------------
+
+struct Evaluator::Frame {
+  std::vector<Word> slots;           // variable slot -> value
+  std::vector<std::uint8_t> bound;   // variable slot -> assigned yet
+  std::vector<std::vector<Value>*> bufs;  // buffer id -> this Run's data
+  std::uint64_t steps = 0;
+  std::int64_t task_trip = 0;  // task-loop iterations of this Run
+  const Program::Code* code = nullptr;
+};
+
+namespace {
+
+using Frame = Evaluator::Frame;
+
+struct ENode;
+using EvalFn = Word (*)(const ENode&, Frame&);
+
+// One compiled expression node.
+struct ENode {
+  EvalFn fn = nullptr;
+  const ENode* a = nullptr;
+  const ENode* b = nullptr;
+  const ENode* c = nullptr;
+  Word lit{};              // literal value
+  std::int32_t slot = -1;  // variable slot or buffer id
+  // IR nodes an evaluation of this subtree visits, not counting the arms
+  // of selects in it (a select charges the arm it takes).
+  std::uint32_t steps = 0;
+};
+
+struct SNode;
+using ExecFn = void (*)(const SNode&, Frame&);
+
+// One compiled statement node.
+struct SNode {
+  ExecFn fn = nullptr;
+  const ENode* a = nullptr;      // rhs / init / condition
+  const ENode* index = nullptr;  // element-store index
+  const SNode* body = nullptr;   // loop body / then branch
+  const SNode* els = nullptr;    // else branch
+  std::int32_t slot = -1;        // variable slot or buffer id
+  std::int64_t trip = 0;         // loop trip count
+  Word lit{};                    // value of a declaration without init
+  std::uint64_t steps = 0;       // this node's step plus its expressions'
+  std::vector<const SNode*> stmts;  // block children
+};
+
+struct Param {
+  std::string name;
+  std::int32_t slot = -1;
+  VKind kind = VKind::kInt;
+};
+
+struct BufferSlot {
+  std::string name;
+  BufferKind kind = BufferKind::kInput;
+  std::int64_t length = 0;
+  Type element;
+  VKind vkind = VKind::kInt;
+};
+
+}  // namespace
+
+struct Program::Code {
+  std::deque<ENode> exprs;  // deque: nodes never move once built
+  std::deque<SNode> stmts;
+  const SNode* root = nullptr;
+  std::vector<std::string> var_names;  // slot -> name (diagnostics)
+  std::vector<Param> scalars;
+  std::vector<BufferSlot> buffers;     // buffer id -> declaration
+};
+
+namespace {
+
+// -------------------------------------------------------- cold paths
+
+[[noreturn, gnu::noinline, gnu::cold]] void StepBudgetExceeded() {
+  throw InternalError("IR evaluator step budget exceeded");
+}
+
+[[noreturn, gnu::noinline, gnu::cold]] void UnboundVariable(
+    const Frame& f, std::int32_t slot) {
+  const auto s = static_cast<std::size_t>(slot);
+  S2FA_CHECK(f.bound[s] != 0, "unbound variable " << f.code->var_names[s]);
+  S2FA_UNREACHABLE("bound variable reported unbound");
+}
+
+[[noreturn, gnu::noinline, gnu::cold]] void ReadOutOfBounds(
+    const Frame& f, std::int32_t id, std::int64_t index) {
+  const auto b = static_cast<std::size_t>(id);
+  const std::size_t size = f.bufs[b]->size();
+  S2FA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < size,
+               "index " << index << " out of bounds for buffer "
+                        << f.code->buffers[b].name << " (size " << size
+                        << ")");
+  S2FA_UNREACHABLE("in-bounds read reported out of bounds");
+}
+
+[[noreturn, gnu::noinline, gnu::cold]] void WriteOutOfBounds(
+    const Frame& f, std::int32_t id, std::int64_t index) {
+  const auto b = static_cast<std::size_t>(id);
+  const std::size_t size = f.bufs[b]->size();
+  S2FA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < size,
+               "write index " << index << " out of bounds for buffer "
+                              << f.code->buffers[b].name);
+  S2FA_UNREACHABLE("in-bounds write reported out of bounds");
+}
+
+[[noreturn, gnu::noinline, gnu::cold]] void ZeroDivisor(std::int64_t y,
+                                                       bool rem) {
+  if (rem) S2FA_REQUIRE(y != 0, "remainder by zero in kernel");
+  S2FA_REQUIRE(y != 0, "division by zero in kernel");
+  S2FA_UNREACHABLE("non-zero divisor reported zero");
+}
+
+// ---------------------------------------------------- node functions
+
+// Steps are charged per statement, for the statement and every expression
+// node it will visit (known at compile time but for select arms), so the
+// count stays in step with the nodes visited without a counter update per
+// node.
+inline void Charge(Frame& f, std::uint64_t steps) {
+  f.steps += steps;
+  if (f.steps > kMaxSteps) [[unlikely]] StepBudgetExceeded();
+}
+
+inline Word Eval(const ENode* n, Frame& f) { return n->fn(*n, f); }
+inline void Exec(const SNode* s, Frame& f) { s->fn(*s, f); }
+
+inline bool OutOfRange(std::int64_t index, std::size_t size) {
+  return static_cast<std::uint64_t>(index) >= size;
+}
+
+Word ELit(const ENode& n, Frame&) {
+  return n.lit;
+}
+
+Word EVar(const ENode& n, Frame& f) {
+  const auto s = static_cast<std::size_t>(n.slot);
+  if (f.bound[s] == 0) [[unlikely]] UnboundVariable(f, n.slot);
+  return f.slots[s];
+}
+
+template <Src S>
+Word Fetch(const ENode* n, Frame& f) {
+  if constexpr (S == Src::kVar) return EVar(*n, f);
+  if constexpr (S == Src::kLit) return n->lit;
+  if constexpr (S == Src::kNode) return Eval(n, f);
+}
+
+template <VKind K, Src SI>
+Word ELoad(const ENode& n, Frame& f) {
+  const std::int64_t index = Fetch<SI>(n.a, f).i;
+  const std::vector<Value>& vec = *f.bufs[static_cast<std::size_t>(n.slot)];
+  if (OutOfRange(index, vec.size())) [[unlikely]] {
+    ReadOutOfBounds(f, n.slot, index);
+  }
+  const Value& v = vec[static_cast<std::size_t>(index)];
+  if constexpr (K == VKind::kInt) return I64(v.AsInt());
+  if constexpr (K == VKind::kLong) return I64(v.AsLong());
+  if constexpr (K == VKind::kFloat) return F32(v.AsFloat());
+  if constexpr (K == VKind::kDouble) return F64(v.AsDouble());
+}
+
+// A view change the IR leaves implicit (C's usual conversions): not an IR
+// node, so it charges no step.
+template <View To, View From>
+Word ECvt(const ENode& n, Frame& f) {
+  return Convert<To, From>(Eval(n.a, f));
+}
+
+// Java int/long arithmetic: add/sub/mul/neg wrap (computed unsigned),
+// MIN / -1 == MIN and MIN % -1 == 0, shift counts masked to the width.
+template <BinaryOp Op, bool kWide>
+std::int64_t IntOp(std::int64_t x, std::int64_t y) {
+  using U = std::uint64_t;
+  using S = std::int64_t;
+  if constexpr (Op == BinaryOp::kAdd) return static_cast<S>(U(x) + U(y));
+  if constexpr (Op == BinaryOp::kSub) return static_cast<S>(U(x) - U(y));
+  if constexpr (Op == BinaryOp::kMul) return static_cast<S>(U(x) * U(y));
+  if constexpr (Op == BinaryOp::kDiv) {
+    if (y == 0) [[unlikely]] ZeroDivisor(y, false);
+    return y == -1 ? static_cast<std::int64_t>(U{0} - U(x)) : x / y;
+  }
+  if constexpr (Op == BinaryOp::kRem) {
+    if (y == 0) [[unlikely]] ZeroDivisor(y, true);
+    return y == -1 ? 0 : x % y;
+  }
+  constexpr std::int64_t kMask = kWide ? 63 : 31;
+  if constexpr (Op == BinaryOp::kShl) {
+    return static_cast<std::int64_t>(U(x) << (y & kMask));
+  }
+  if constexpr (Op == BinaryOp::kShr) return x >> (y & kMask);
+  if constexpr (Op == BinaryOp::kUShr) {
+    if constexpr (kWide) return static_cast<std::int64_t>(U(x) >> (y & 63));
+    return static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(static_cast<std::int32_t>(x)) >> (y & 31));
+  }
+  if constexpr (Op == BinaryOp::kAnd) return x & y;
+  if constexpr (Op == BinaryOp::kOr) return x | y;
+  if constexpr (Op == BinaryOp::kXor) return x ^ y;
+  if constexpr (Op == BinaryOp::kMin) return std::min(x, y);
+  if constexpr (Op == BinaryOp::kMax) return std::max(x, y);
+}
+
+template <BinaryOp Op, bool kWide, Src SA, Src SB>
+Word EIntBin(const ENode& n, Frame& f) {
+  const std::int64_t x = Fetch<SA>(n.a, f).i;
+  const std::int64_t y = Fetch<SB>(n.b, f).i;
+  const std::int64_t r = IntOp<Op, kWide>(x, y);
+  return I64(kWide ? r : static_cast<std::int32_t>(r));
+}
+
+// min/max follow Java (jvm::JavaFMin/JavaFMax): NaN propagates and
+// -0.0 < +0.0, matching the Math.min/max bytecode they came from.
+template <BinaryOp Op, typename T>
+T FloatOp(T x, T y) {
+  if constexpr (Op == BinaryOp::kAdd) return x + y;
+  if constexpr (Op == BinaryOp::kSub) return x - y;
+  if constexpr (Op == BinaryOp::kMul) return x * y;
+  if constexpr (Op == BinaryOp::kDiv) return x / y;
+  if constexpr (Op == BinaryOp::kRem) return std::fmod(x, y);
+  if constexpr (Op == BinaryOp::kMin) return jvm::JavaFMin(x, y);
+  if constexpr (Op == BinaryOp::kMax) return jvm::JavaFMax(x, y);
+}
+
+template <BinaryOp Op, View V, Src SA, Src SB>
+Word EFloatBin(const ENode& n, Frame& f) {
+  const FloatOf<V> x = Get<V>(Fetch<SA>(n.a, f));
+  const FloatOf<V> y = Get<V>(Fetch<SB>(n.b, f));
+  return Put(FloatOp<Op>(x, y));
+}
+
+Word EFloatBitwise(const ENode& n, Frame& f) {
+  Eval(n.a, f);
+  Eval(n.b, f);
+  throw InternalError("bitwise op on float in evaluator");
+}
+
+template <BinaryOp Op, View V, Src SA, Src SB>
+Word ECmp(const ENode& n, Frame& f) {
+  const auto x = Get<V>(Fetch<SA>(n.a, f));
+  const auto y = Get<V>(Fetch<SB>(n.b, f));
+  bool r = false;
+  if constexpr (Op == BinaryOp::kLt) r = x < y;
+  if constexpr (Op == BinaryOp::kLe) r = x <= y;
+  if constexpr (Op == BinaryOp::kGt) r = x > y;
+  if constexpr (Op == BinaryOp::kGe) r = x >= y;
+  if constexpr (Op == BinaryOp::kEq) r = x == y;
+  if constexpr (Op == BinaryOp::kNe) r = x != y;
+  return I64(r ? 1 : 0);
+}
+
+// Both operands are evaluated (the IR's && and || do not short-circuit).
+template <bool kAnd>
+Word ELogical(const ENode& n, Frame& f) {
+  const bool x = Eval(n.a, f).i != 0;
+  const bool y = Eval(n.b, f).i != 0;
+  return I64((kAnd ? (x && y) : (x || y)) ? 1 : 0);
+}
+
+template <View V>
+Word ENegFloat(const ENode& n, Frame& f) {
+  return Put(-Get<V>(Eval(n.a, f)));
+}
+
+template <bool kWide>
+Word ENegInt(const ENode& n, Frame& f) {
+  const auto r = static_cast<std::int64_t>(
+      std::uint64_t{0} - static_cast<std::uint64_t>(Eval(n.a, f).i));
+  return I64(kWide ? r : static_cast<std::int32_t>(r));
+}
+
+template <bool kWide>
+Word EBitNot(const ENode& n, Frame& f) {
+  const std::int64_t r = ~Eval(n.a, f).i;
+  return I64(kWide ? r : static_cast<std::int32_t>(r));
+}
+
+Word ELogicalNot(const ENode& n, Frame& f) {
+  return I64(Eval(n.a, f).i == 0 ? 1 : 0);
+}
+
+template <Intrinsic Fn, typename T>
+T IntrinsicOp(T x, T y) {
+  if constexpr (Fn == Intrinsic::kExp) return std::exp(x);
+  if constexpr (Fn == Intrinsic::kLog) return std::log(x);
+  if constexpr (Fn == Intrinsic::kSqrt) return std::sqrt(x);
+  if constexpr (Fn == Intrinsic::kAbs) return std::fabs(x);
+  if constexpr (Fn == Intrinsic::kPow) return std::pow(x, y);
+}
+
+// A float-typed call computes in float (C's f-suffixed functions); any
+// other result type computes in double and converts.
+template <Intrinsic Fn, TypeKind R>
+Word ECall(const ENode& n, Frame& f) {
+  if constexpr (R == TypeKind::kFloat) {
+    const float x = Eval(n.a, f).f;
+    const float y = n.b != nullptr ? Eval(n.b, f).f : 0.0f;
+    return F32(IntrinsicOp<Fn>(x, y));
+  } else {
+    const double x = Eval(n.a, f).d;
+    const double y = n.b != nullptr ? Eval(n.b, f).d : 0.0;
+    const double r = IntrinsicOp<Fn>(x, y);
+    if constexpr (R == TypeKind::kDouble) return F64(r);
+    if constexpr (R == TypeKind::kLong) {
+      return I64(static_cast<std::int64_t>(r));
+    }
+    if constexpr (R == TypeKind::kInt) {
+      return I64(static_cast<std::int32_t>(r));
     }
   }
-  const double x = ToDouble(a);
-  const double y = ToDouble(b);
-  switch (op) {
-    case BinaryOp::kLt: return x < y;
-    case BinaryOp::kLe: return x <= y;
-    case BinaryOp::kGt: return x > y;
-    case BinaryOp::kGe: return x >= y;
-    case BinaryOp::kEq: return x == y;
-    case BinaryOp::kNe: return x != y;
-    default: return false;
+}
+
+template <TypeKind TK, View V>
+Word ECast(const ENode& n, Frame& f) {
+  return Narrow<TK, V>(Eval(n.a, f));
+}
+
+Word ESelect(const ENode& n, Frame& f) {
+  const ENode* arm = Eval(n.a, f).i != 0 ? n.b : n.c;
+  Charge(f, arm->steps);
+  return Eval(arm, f);
+}
+
+template <TypeKind TK, View V>
+void SStoreVar(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  const auto slot = static_cast<std::size_t>(s.slot);
+  f.slots[slot] = Narrow<TK, V>(Eval(s.a, f));
+  f.bound[slot] = 1;
+}
+
+void SDeclDefault(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  const auto slot = static_cast<std::size_t>(s.slot);
+  f.slots[slot] = s.lit;
+  f.bound[slot] = 1;
+}
+
+template <TypeKind TK, View V>
+void SStoreElem(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  const Word v = Narrow<TK, V>(Eval(s.a, f));
+  const std::int64_t index = Eval(s.index, f).i;
+  std::vector<Value>& vec = *f.bufs[static_cast<std::size_t>(s.slot)];
+  if (OutOfRange(index, vec.size())) [[unlikely]] {
+    WriteOutOfBounds(f, s.slot, index);
+  }
+  vec[static_cast<std::size_t>(index)] = Box<TK>(v);
+}
+
+void SIf(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  if (Eval(s.a, f).i != 0) {
+    Exec(s.body, f);
+  } else if (s.els != nullptr) {
+    Exec(s.els, f);
   }
 }
 
-// Floating binary arithmetic in the operand precision. min/max follow Java
-// semantics (jvm::JavaFMin/JavaFMax): NaN propagates and -0.0 < +0.0,
-// matching the Math.min/max bytecode these ops were compiled from.
-template <typename T>
-T ApplyFloatBin(BinaryOp op, T x, T y) {
-  switch (op) {
-    case BinaryOp::kAdd: return x + y;
-    case BinaryOp::kSub: return x - y;
-    case BinaryOp::kMul: return x * y;
-    case BinaryOp::kDiv: return x / y;
-    case BinaryOp::kRem: return std::fmod(x, y);
-    case BinaryOp::kMin: return jvm::JavaFMin(x, y);
-    case BinaryOp::kMax: return jvm::JavaFMax(x, y);
-    default:
-      throw InternalError("bitwise op on float in evaluator");
+template <bool kTaskLoop>
+void SFor(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  const std::int64_t trip = kTaskLoop ? f.task_trip : s.trip;
+  const auto slot = static_cast<std::size_t>(s.slot);
+  if (trip > 0) f.bound[slot] = 1;
+  for (std::int64_t i = 0; i < trip; ++i) {
+    f.slots[slot].i = static_cast<std::int32_t>(i);
+    Exec(s.body, f);
   }
 }
 
-std::int64_t ApplyIntBin(BinaryOp op, bool wide, std::int64_t x,
-                         std::int64_t y) {
-  switch (op) {
-    case BinaryOp::kAdd: return x + y;
-    case BinaryOp::kSub: return x - y;
-    case BinaryOp::kMul: return x * y;
-    case BinaryOp::kDiv:
-      S2FA_REQUIRE(y != 0, "division by zero in kernel");
-      return x / y;
-    case BinaryOp::kRem:
-      S2FA_REQUIRE(y != 0, "remainder by zero in kernel");
-      return x % y;
-    case BinaryOp::kShl: return x << (y & (wide ? 63 : 31));
-    case BinaryOp::kShr: return x >> (y & (wide ? 63 : 31));
-    case BinaryOp::kUShr:
-      if (wide) {
-        return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) >>
-                                         (y & 63));
-      }
-      return static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(static_cast<std::int32_t>(x)) >>
-          (y & 31));
-    case BinaryOp::kAnd: return x & y;
-    case BinaryOp::kOr: return x | y;
-    case BinaryOp::kXor: return x ^ y;
-    case BinaryOp::kMin: return std::min(x, y);
-    case BinaryOp::kMax: return std::max(x, y);
-    default:
-      throw InternalError("unhandled int binop");
-  }
+void SBlock(const SNode& s, Frame& f) {
+  Charge(f, s.steps);
+  for (const SNode* child : s.stmts) Exec(child, f);
 }
 
-Value ApplyIntrinsic(Intrinsic fn, TypeKind result, double x, double y) {
-  if (result == TypeKind::kFloat) {
-    // Match C's f-suffixed functions: compute in float.
-    float fx = static_cast<float>(x);
-    float fy = static_cast<float>(y);
-    switch (fn) {
-      case Intrinsic::kExp: return Value::OfFloat(std::exp(fx));
-      case Intrinsic::kLog: return Value::OfFloat(std::log(fx));
-      case Intrinsic::kSqrt: return Value::OfFloat(std::sqrt(fx));
-      case Intrinsic::kAbs: return Value::OfFloat(std::fabs(fx));
-      case Intrinsic::kPow: return Value::OfFloat(std::pow(fx, fy));
+// ------------------------------------------------------- the compiler
+
+// The node function of a binary op in `form` whose operands are read in
+// view `in` from sources SA and SB.
+template <Src SA, Src SB>
+EvalFn BinaryFn(Form form, BinaryOp op, View in) {
+  switch (form) {
+    case Form::kCmpInt:
+    case Form::kCmpFloat:
+      return WithCmpOp(op, [&](auto o) {
+        return WithView(in, [&](auto v) -> EvalFn {
+          return &ECmp<o(), v(), SA, SB>;
+        });
+      });
+    case Form::kLogical:
+      return op == BinaryOp::kLAnd ? &ELogical<true> : &ELogical<false>;
+    case Form::kFloat32:
+    case Form::kFloat64:
+      return WithArithOp(op, [&](auto o) -> EvalFn {
+        constexpr BinaryOp kOp = o();
+        if constexpr (kOp == BinaryOp::kAdd || kOp == BinaryOp::kSub ||
+                      kOp == BinaryOp::kMul || kOp == BinaryOp::kDiv ||
+                      kOp == BinaryOp::kRem || kOp == BinaryOp::kMin ||
+                      kOp == BinaryOp::kMax) {
+          return form == Form::kFloat32 ? &EFloatBin<kOp, View::kF32, SA, SB>
+                                        : &EFloatBin<kOp, View::kF64, SA, SB>;
+        } else {
+          return &EFloatBitwise;
+        }
+      });
+    case Form::kInt32:
+    case Form::kInt64:
+      return WithArithOp(op, [&](auto o) -> EvalFn {
+        return form == Form::kInt64 ? &EIntBin<o(), true, SA, SB>
+                                    : &EIntBin<o(), false, SA, SB>;
+      });
+  }
+  S2FA_UNREACHABLE("bad binary form");
+}
+
+Word ConvertWord(Word w, View from, View to) {
+  return WithView(to, [&](auto t) {
+    return WithView(from, [&](auto fr) { return Convert<t(), fr()>(w); });
+  });
+}
+
+class Compiler {
+ public:
+  Compiler(const Kernel& kernel, const TaskSpan& span, Program::Code& code)
+      : kernel_(kernel), span_(span), code_(code) {}
+
+  void Compile() {
+    for (const auto& b : kernel_.buffers) {
+      // Buffer names are unique (Validate), so id == declaration index.
+      buffer_ids_.emplace(b.name,
+                          static_cast<std::int32_t>(code_.buffers.size()));
+      // Validate() guarantees a primitive element.
+      code_.buffers.push_back(
+          {b.name, b.kind, b.length, b.element, *KindOf(b.element.kind())});
     }
-    S2FA_UNREACHABLE("bad intrinsic");
-  }
-  auto compute = [&]() -> double {
-    switch (fn) {
-      case Intrinsic::kExp: return std::exp(x);
-      case Intrinsic::kLog: return std::log(x);
-      case Intrinsic::kSqrt: return std::sqrt(x);
-      case Intrinsic::kAbs: return std::fabs(x);
-      case Intrinsic::kPow: return std::pow(x, y);
+    for (const auto& s : kernel_.scalars) {
+      const std::int32_t slot = Define(s.name, s.type);
+      code_.scalars.push_back({s.name, slot, var_kinds_[slot]});
     }
-    S2FA_UNREACHABLE("bad intrinsic");
-  };
-  return FromDouble(result, compute());
-}
-
-Value ApplyUnary(UnaryOp op, TypeKind operand, const Value& a) {
-  switch (op) {
-    case UnaryOp::kNeg:
-      if (operand == TypeKind::kFloat) {
-        return Value::OfFloat(-static_cast<float>(ToDouble(a)));
-      }
-      if (operand == TypeKind::kDouble) {
-        return Value::OfDouble(-ToDouble(a));
-      }
-      if (operand == TypeKind::kLong) return Value::OfLong(-ToInt64(a));
-      return Value::OfInt(static_cast<std::int32_t>(-ToInt64(a)));
-    case UnaryOp::kBitNot:
-      if (operand == TypeKind::kLong) return Value::OfLong(~ToInt64(a));
-      return Value::OfInt(static_cast<std::int32_t>(~ToInt64(a)));
-    case UnaryOp::kLogicalNot:
-      return Value::OfInt(ToInt64(a) == 0 ? 1 : 0);
+    CollectDefinitions(*kernel_.body);
+    code_.root = CompileStmt(*kernel_.body);
   }
-  S2FA_UNREACHABLE("bad unary op");
+
+ private:
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw MalformedInput("kernel " + kernel_.name + ": " + what);
+  }
+
+  VKind KindOrFail(const Type& type, const std::string& what) const {
+    const std::optional<VKind> k = KindOf(type.kind());
+    if (!k) Fail(what + " has non-primitive type " + type.ToString());
+    return *k;
+  }
+
+  std::int32_t Slot(const std::string& name) {
+    auto it = var_slots_.find(name);
+    if (it != var_slots_.end()) return it->second;
+    // Read but never defined: reading it fails the bound check.
+    const auto slot = static_cast<std::int32_t>(code_.var_names.size());
+    code_.var_names.push_back(name);
+    var_kinds_.push_back(VKind::kInt);
+    var_slots_.emplace(name, slot);
+    return slot;
+  }
+
+  // Records a definition of `name` at `type`: every definition of a
+  // variable must agree on its kind.
+  std::int32_t Define(const std::string& name, const Type& type) {
+    const VKind kind = KindOrFail(type, "variable " + name);
+    auto it = var_slots_.find(name);
+    if (it == var_slots_.end()) {
+      const std::int32_t slot = Slot(name);
+      var_kinds_[static_cast<std::size_t>(slot)] = kind;
+      return slot;
+    }
+    const VKind had = var_kinds_[static_cast<std::size_t>(it->second)];
+    if (had != kind) {
+      Fail("variable " + name + " is defined as both " + KindName(had) +
+           " and " + KindName(kind));
+    }
+    return it->second;
+  }
+
+  void CollectDefinitions(const Stmt& stmt) {
+    switch (stmt.kind()) {
+      case StmtKind::kAssign: {
+        const Expr& lhs = *stmt.lhs();
+        if (lhs.kind() == ExprKind::kVar) {
+          Define(lhs.name(), lhs.type());
+          break;
+        }
+        const BufferSlot& buf = code_.buffers[BufferId(lhs.name())];
+        const VKind stored = KindOrFail(lhs.type(), "store to " + buf.name);
+        if (stored != buf.vkind) {
+          Fail("buffer " + buf.name + " holds " + KindName(buf.vkind) +
+               " but is stored as " + KindName(stored));
+        }
+        break;
+      }
+      case StmtKind::kDecl:
+        Define(stmt.decl_name(), stmt.decl_type());
+        break;
+      case StmtKind::kIf:
+        CollectDefinitions(*stmt.then_stmt());
+        if (stmt.else_stmt()) CollectDefinitions(*stmt.else_stmt());
+        break;
+      case StmtKind::kFor:
+        Define(stmt.loop_var(), Type::Int());
+        CollectDefinitions(*stmt.body());
+        break;
+      case StmtKind::kBlock:
+        for (const auto& s : stmt.stmts()) CollectDefinitions(*s);
+        break;
+    }
+  }
+
+  std::size_t BufferId(const std::string& name) const {
+    // Validate() guarantees the buffer is declared.
+    return static_cast<std::size_t>(buffer_ids_.at(name));
+  }
+
+  // The view a node's word holds its value in; nullopt for a select
+  // whose arms differ (it then takes whatever view its consumer asks).
+  std::optional<View> NaturalView(const Expr& e) {
+    switch (e.kind()) {
+      case ExprKind::kIntLit:
+        return View::kI64;
+      case ExprKind::kFloatLit:
+      case ExprKind::kCall:
+      case ExprKind::kCast:
+        return ViewOf(e.type().kind());
+      case ExprKind::kVar:
+        return ViewOf(var_kinds_[static_cast<std::size_t>(Slot(e.name()))]);
+      case ExprKind::kArrayRef:
+        return ViewOf(code_.buffers[BufferId(e.name())].vkind);
+      case ExprKind::kBinary:
+        switch (FormOf(e)) {
+          case Form::kFloat32: return View::kF32;
+          case Form::kFloat64: return View::kF64;
+          default: return View::kI64;
+        }
+      case ExprKind::kUnary:
+        if (e.unary_op() != UnaryOp::kNeg) return View::kI64;
+        return ViewOf(e.operands()[0]->type().kind());
+      case ExprKind::kSelect: {
+        const std::optional<View> a = NaturalView(*e.operands()[1]);
+        const std::optional<View> b = NaturalView(*e.operands()[2]);
+        if (a == b) return a;
+        return std::nullopt;
+      }
+    }
+    S2FA_UNREACHABLE("bad expr kind");
+  }
+
+  ENode* NewExpr(EvalFn fn) {
+    ENode& n = code_.exprs.emplace_back();
+    n.fn = fn;
+    return &n;
+  }
+
+  SNode* NewStmt(ExecFn fn) {
+    SNode& s = code_.stmts.emplace_back();
+    s.fn = fn;
+    return &s;
+  }
+
+  // Compiles `expr` to a node whose word holds its value in view `want`.
+  const ENode* CompileExpr(const ExprPtr& expr, View want) {
+    const Expr& e = *expr;
+    if (e.kind() == ExprKind::kIntLit || e.kind() == ExprKind::kFloatLit) {
+      // Literals convert at compile time.
+      ENode* n = NewExpr(&ELit);
+      if (e.kind() == ExprKind::kIntLit) {
+        n->lit = I64(e.type().kind() == TypeKind::kLong
+                         ? e.int_value()
+                         : static_cast<std::int32_t>(e.int_value()));
+      } else if (e.type().kind() == TypeKind::kFloat) {
+        n->lit = F32(static_cast<float>(e.float_value()));
+      } else {
+        n->lit = F64(e.float_value());
+      }
+      n->lit = ConvertWord(n->lit, *NaturalView(e), want);
+      n->steps = 1;
+      return n;
+    }
+    if (e.kind() == ExprKind::kSelect) {
+      // The arms take the consumer's view: converting the chosen arm and
+      // choosing a converted arm are the same thing.
+      ENode* n = NewExpr(&ESelect);
+      n->a = CompileExpr(e.operands()[0], View::kI64);
+      n->b = CompileExpr(e.operands()[1], want);
+      n->c = CompileExpr(e.operands()[2], want);
+      n->steps = 1 + n->a->steps;
+      return n;
+    }
+    ENode* node = CompileNatural(e);
+    node->steps = 1;
+    for (const ENode* child : {node->a, node->b, node->c}) {
+      if (child != nullptr) node->steps += child->steps;
+    }
+    const View have = *NaturalView(e);
+    if (have == want) return node;
+    ENode* cvt = NewExpr(WithView(want, [&](auto to) {
+      return WithView(have,
+                      [&](auto from) -> EvalFn { return &ECvt<to(), from()>; });
+    }));
+    cvt->a = node;
+    cvt->steps = node->steps;
+    return cvt;
+  }
+
+  // The view a conversion reads `e` in: its own when it has one.
+  View SourceView(const Expr& e, TypeKind target) {
+    return NaturalView(e).value_or(ViewOf(target));
+  }
+
+  // Compiles a non-literal, non-select node in its natural view.
+  ENode* CompileNatural(const Expr& e) {
+    switch (e.kind()) {
+      case ExprKind::kVar: {
+        ENode* n = NewExpr(&EVar);
+        n->slot = Slot(e.name());
+        return n;
+      }
+      case ExprKind::kArrayRef: {
+        const std::size_t id = BufferId(e.name());
+        ENode* n = NewExpr(nullptr);
+        n->slot = static_cast<std::int32_t>(id);
+        n->a = CompileExpr(e.operands()[0], View::kI64);
+        n->fn = WithSrc(SrcOf(n->a), [&](auto i) -> EvalFn {
+          switch (code_.buffers[id].vkind) {
+            case VKind::kInt: return &ELoad<VKind::kInt, i()>;
+            case VKind::kLong: return &ELoad<VKind::kLong, i()>;
+            case VKind::kFloat: return &ELoad<VKind::kFloat, i()>;
+            case VKind::kDouble: break;
+          }
+          return &ELoad<VKind::kDouble, i()>;
+        });
+        return n;
+      }
+      case ExprKind::kBinary:
+        return CompileBinary(e);
+      case ExprKind::kUnary: {
+        const TypeKind opnd = e.operands()[0]->type().kind();
+        const bool wide = opnd == TypeKind::kLong;
+        EvalFn fn = nullptr;
+        View in = View::kI64;
+        switch (e.unary_op()) {
+          case UnaryOp::kNeg:
+            in = ViewOf(opnd);
+            if (in == View::kF32) {
+              fn = &ENegFloat<View::kF32>;
+            } else if (in == View::kF64) {
+              fn = &ENegFloat<View::kF64>;
+            } else {
+              fn = wide ? &ENegInt<true> : &ENegInt<false>;
+            }
+            break;
+          case UnaryOp::kBitNot:
+            fn = wide ? &EBitNot<true> : &EBitNot<false>;
+            break;
+          case UnaryOp::kLogicalNot:
+            fn = &ELogicalNot;
+            break;
+        }
+        ENode* n = NewExpr(fn);
+        n->a = CompileExpr(e.operands()[0], in);
+        return n;
+      }
+      case ExprKind::kCall: {
+        TypeKind r = e.type().kind();
+        if (r != TypeKind::kFloat && r != TypeKind::kDouble &&
+            r != TypeKind::kLong) {
+          r = TypeKind::kInt;
+        }
+        const EvalFn fn = WithIntrinsic(e.intrinsic(), [&](auto c) -> EvalFn {
+          switch (r) {
+            case TypeKind::kFloat: return &ECall<c(), TypeKind::kFloat>;
+            case TypeKind::kDouble: return &ECall<c(), TypeKind::kDouble>;
+            case TypeKind::kLong: return &ECall<c(), TypeKind::kLong>;
+            default: return &ECall<c(), TypeKind::kInt>;
+          }
+        });
+        const View in =
+            r == TypeKind::kFloat ? View::kF32 : View::kF64;
+        ENode* n = NewExpr(fn);
+        n->a = CompileExpr(e.operands()[0], in);
+        if (e.operands().size() > 1) n->b = CompileExpr(e.operands()[1], in);
+        return n;
+      }
+      case ExprKind::kCast: {
+        const TypeKind to = e.type().kind();
+        KindOrFail(e.type(), "cast");
+        const View from = SourceView(*e.operands()[0], to);
+        ENode* n = NewExpr(WithStoreType(to, [&](auto t) {
+          return WithView(from,
+                          [&](auto v) -> EvalFn { return &ECast<t(), v()>; });
+        }));
+        n->a = CompileExpr(e.operands()[0], from);
+        return n;
+      }
+      default:
+        break;
+    }
+    S2FA_UNREACHABLE("literal or select compiled as a natural node");
+  }
+
+  // How a parent reads `child`: inline when it is a variable or literal.
+  static Src SrcOf(const ENode* child) {
+    if (child->fn == &EVar) return Src::kVar;
+    if (child->fn == &ELit) return Src::kLit;
+    return Src::kNode;
+  }
+
+  ENode* CompileBinary(const Expr& e) {
+    const Form form = FormOf(e);
+    View in = View::kI64;
+    if (form == Form::kFloat32) in = View::kF32;
+    if (form == Form::kFloat64) in = View::kF64;
+    if (form == Form::kCmpFloat) {
+      // Two floats compare exactly as their widened doubles do.
+      const bool both_float =
+          NaturalView(*e.operands()[0]) == View::kF32 &&
+          NaturalView(*e.operands()[1]) == View::kF32;
+      in = both_float ? View::kF32 : View::kF64;
+    }
+    ENode* n = NewExpr(nullptr);
+    n->a = CompileExpr(e.operands()[0], in);
+    n->b = CompileExpr(e.operands()[1], in);
+    // A literal first operand is rare: it is read as a node.
+    const Src sa = SrcOf(n->a) == Src::kVar ? Src::kVar : Src::kNode;
+    n->fn = WithSrc(sa, [&](auto a) {
+      return WithSrc(SrcOf(n->b), [&](auto b) {
+        return BinaryFn<a(), b()>(form, e.binary_op(), in);
+      });
+    });
+    return n;
+  }
+
+
+  // A store of `rhs` converted to `type`: into variable slot or buffer id
+  // `target` (element `index` when non-null).
+  SNode* CompileStore(const Type& type, const ExprPtr& rhs,
+                      std::int32_t target, const ExprPtr* index) {
+    const TypeKind to = type.kind();
+    const View from = SourceView(*rhs, to);
+    SNode* s = NewStmt(WithStoreType(to, [&](auto t) {
+      return WithView(from, [&](auto v) -> ExecFn {
+        if (index != nullptr) return &SStoreElem<t(), v()>;
+        return &SStoreVar<t(), v()>;
+      });
+    }));
+    s->a = CompileExpr(rhs, from);
+    s->steps = 1 + s->a->steps;
+    if (index != nullptr) {
+      s->index = CompileExpr(*index, View::kI64);
+      s->steps += s->index->steps;
+    }
+    s->slot = target;
+    return s;
+  }
+
+  const SNode* CompileStmt(const Stmt& stmt) {
+    switch (stmt.kind()) {
+      case StmtKind::kAssign: {
+        const Expr& lhs = *stmt.lhs();
+        if (lhs.kind() == ExprKind::kVar) {
+          return CompileStore(lhs.type(), stmt.rhs(), Slot(lhs.name()),
+                              nullptr);
+        }
+        return CompileStore(
+            lhs.type(), stmt.rhs(),
+            static_cast<std::int32_t>(BufferId(lhs.name())),
+            &lhs.operands()[0]);
+      }
+      case StmtKind::kDecl: {
+        const std::int32_t slot = Slot(stmt.decl_name());
+        if (stmt.init()) {
+          return CompileStore(stmt.decl_type(), stmt.init(), slot, nullptr);
+        }
+        SNode* s = NewStmt(&SDeclDefault);
+        s->slot = slot;
+        s->steps = 1;
+        s->lit = Word{};  // all-zero bits: 0, 0L, +0.0f and +0.0 alike
+        return s;
+      }
+      case StmtKind::kIf: {
+        SNode* s = NewStmt(&SIf);
+        s->a = CompileExpr(stmt.cond(), View::kI64);
+        s->steps = 1 + s->a->steps;
+        s->body = CompileStmt(*stmt.then_stmt());
+        if (stmt.else_stmt()) s->els = CompileStmt(*stmt.else_stmt());
+        return s;
+      }
+      case StmtKind::kFor: {
+        SNode* s = NewStmt(&stmt == span_.loop() ? &SFor<true> : &SFor<false>);
+        s->slot = Slot(stmt.loop_var());
+        s->steps = 1;
+        s->trip = stmt.trip_count();
+        s->body = CompileStmt(*stmt.body());
+        return s;
+      }
+      case StmtKind::kBlock: {
+        SNode* s = NewStmt(&SBlock);
+        s->steps = 1;
+        s->stmts.reserve(stmt.stmts().size());
+        for (const auto& child : stmt.stmts()) {
+          s->stmts.push_back(CompileStmt(*child));
+        }
+        return s;
+      }
+    }
+    S2FA_UNREACHABLE("bad stmt kind");
+  }
+
+  const Kernel& kernel_;
+  const TaskSpan& span_;
+  Program::Code& code_;
+  std::map<std::string, std::int32_t> var_slots_;
+  std::vector<VKind> var_kinds_;  // slot -> static kind
+  std::map<std::string, std::int32_t> buffer_ids_;
+};
+
+// Rejects a buffer holding an element that is not of the buffer's kind.
+void CheckElementKinds(const BufferSlot& b, const std::vector<Value>& data) {
+  const auto bad = std::find_if(data.begin(), data.end(), [&](const Value& v) {
+    return !HasKind(v, b.vkind);
+  });
+  if (bad == data.end()) return;
+  throw InvalidArgument("buffer " + b.name + " element " +
+                        std::to_string(bad - data.begin()) + " is " +
+                        ValueKindName(*bad) + ", declared " +
+                        KindName(b.vkind));
 }
 
 }  // namespace
@@ -203,6 +1177,7 @@ TaskSpan::TaskSpan(const Kernel& kernel) {
   if (!kernel.body || kernel.task_loop_id < 0) return;
   loop_ = FindLoop(kernel.body, kernel.task_loop_id);
   if (loop_ == nullptr) return;
+  trip_ = loop_->trip_count();
   // The template batch is the row count of the per-task interface buffers
   // (broadcast inputs and reduce outputs hold one row, so take the max).
   std::int64_t batch = 0;
@@ -210,12 +1185,11 @@ TaskSpan::TaskSpan(const Kernel& kernel) {
     if (b.kind == BufferKind::kLocal || b.per_task <= 0) continue;
     batch = std::max(batch, b.length / b.per_task);
   }
-  const std::int64_t trip = loop_->trip_count();
-  batch_ = std::max(batch, trip);
-  if (batch % trip != 0) return;
+  batch_ = std::max(batch, trip_);
+  if (batch % trip_ != 0) return;
   // One task per iteration (the b2c template), or one tile per iteration
   // after Merlin tiling: the body is then exactly the point loop.
-  const std::int64_t per_iter = batch / trip;
+  const std::int64_t per_iter = batch / trip_;
   const Stmt& body = *loop_->body();
   const bool tiled = body.kind() == StmtKind::kBlock &&
                      body.stmts().size() == 1 &&
@@ -227,7 +1201,7 @@ TaskSpan::TaskSpan(const Kernel& kernel) {
 std::int64_t TaskSpan::Iterations(
     std::optional<std::int64_t> live_tasks) const {
   if (loop_ == nullptr) return 0;
-  if (!live_tasks || tasks_per_iter_ == 0) return loop_->trip_count();
+  if (!live_tasks || tasks_per_iter_ == 0) return trip_;
   S2FA_REQUIRE(*live_tasks >= 0 && *live_tasks <= batch_,
                "live tasks " << *live_tasks << " outside [0, " << batch_
                              << "]");
@@ -240,286 +1214,60 @@ std::int64_t TaskSpan::LiveRows(std::int64_t live_tasks) const {
 }
 
 // --------------------------------------------------------------------------
-// Evaluator: slot-resolved hot path.
+// Program and Evaluator.
 // --------------------------------------------------------------------------
 
-Evaluator::Evaluator(const Kernel& kernel) : kernel_(kernel), span_(kernel) {
+Program::Program(const Kernel& kernel) : span_(kernel) {
   kernel.Validate();
-  for (std::size_t i = 0; i < kernel_.buffers.size(); ++i) {
-    // Buffer names are unique (Validate), so id == declaration index.
-    buffer_id_by_name_.emplace(kernel_.buffers[i].name,
-                               static_cast<std::int32_t>(i));
-  }
-  bufs_.assign(kernel_.buffers.size(), nullptr);
-  scalar_slots_.reserve(kernel_.scalars.size());
-  for (const auto& s : kernel_.scalars) {
-    scalar_slots_.push_back(VarSlot(s.name));
-  }
-  root_ = CompileStmt(*kernel_.body);
-  slots_.assign(var_names_.size(), Value());
-  bound_.assign(var_names_.size(), 0);
+  auto code = std::make_unique<Code>();
+  Compiler(kernel, span_, *code).Compile();
+  code_ = std::move(code);
 }
 
-std::int32_t Evaluator::VarSlot(const std::string& name) {
-  auto it = var_slots_.find(name);
-  if (it != var_slots_.end()) return it->second;
-  const auto slot = static_cast<std::int32_t>(var_names_.size());
-  var_names_.push_back(name);
-  var_slots_.emplace(name, slot);
-  return slot;
+Program::~Program() = default;
+
+Evaluator::Evaluator(const Kernel& kernel)
+    : Evaluator(std::make_shared<const Program>(kernel)) {}
+
+Evaluator::Evaluator(std::shared_ptr<const Program> program)
+    : program_(std::move(program)), frame_(std::make_unique<Frame>()) {
+  S2FA_REQUIRE(program_ != nullptr, "evaluator needs a program");
+  const Program::Code& code = *program_->code_;
+  Frame& f = *frame_;
+  f.slots.assign(code.var_names.size(), Word{});
+  f.bound.assign(code.var_names.size(), 0);
+  f.bufs.assign(code.buffers.size(), nullptr);
+  f.code = &code;
 }
 
-std::int32_t Evaluator::CompileExpr(const ExprPtr& expr) {
-  const Expr& e = *expr;
-  RExpr r;
-  r.kind = e.kind();
-  r.type = e.type().kind();
-  switch (e.kind()) {
-    case ExprKind::kIntLit:
-      r.lit = r.type == TypeKind::kLong
-                  ? Value::OfLong(e.int_value())
-                  : Value::OfInt(static_cast<std::int32_t>(e.int_value()));
-      break;
-    case ExprKind::kFloatLit:
-      r.lit = FromDouble(r.type, e.float_value());
-      break;
-    case ExprKind::kVar:
-      r.slot = VarSlot(e.name());
-      break;
-    case ExprKind::kArrayRef:
-      // Validate() guarantees the buffer is declared.
-      r.slot = buffer_id_by_name_.at(e.name());
-      r.a = CompileExpr(e.operands()[0]);
-      break;
-    case ExprKind::kBinary: {
-      r.a = CompileExpr(e.operands()[0]);
-      r.b = CompileExpr(e.operands()[1]);
-      r.bop = e.binary_op();
-      const Type& t = e.operands()[0]->type();
-      r.opnd = t.kind();
-      if (IsComparison(r.bop)) {
-        r.form = t.is_integral() ? BinForm::kCmpInt : BinForm::kCmpFloat;
-      } else if (r.bop == BinaryOp::kLAnd || r.bop == BinaryOp::kLOr) {
-        r.form = BinForm::kLogical;
-      } else if (t.kind() == TypeKind::kFloat) {
-        r.form = BinForm::kFloat32;
-      } else if (t.kind() == TypeKind::kDouble) {
-        r.form = BinForm::kFloat64;
-      } else if (t.kind() == TypeKind::kLong) {
-        r.form = BinForm::kInt64;
-      } else {
-        r.form = BinForm::kInt32;
-      }
-      break;
-    }
-    case ExprKind::kUnary:
-      r.a = CompileExpr(e.operands()[0]);
-      r.uop = e.unary_op();
-      r.opnd = e.operands()[0]->type().kind();
-      break;
-    case ExprKind::kCall:
-      r.fn = e.intrinsic();
-      r.a = CompileExpr(e.operands()[0]);
-      if (e.operands().size() > 1) r.b = CompileExpr(e.operands()[1]);
-      break;
-    case ExprKind::kCast:
-      r.a = CompileExpr(e.operands()[0]);
-      break;
-    case ExprKind::kSelect:
-      r.a = CompileExpr(e.operands()[0]);
-      r.b = CompileExpr(e.operands()[1]);
-      r.c = CompileExpr(e.operands()[2]);
-      break;
-  }
-  rexprs_.push_back(std::move(r));
-  return static_cast<std::int32_t>(rexprs_.size() - 1);
-}
+Evaluator::~Evaluator() = default;
+Evaluator::Evaluator(Evaluator&&) noexcept = default;
+Evaluator& Evaluator::operator=(Evaluator&&) noexcept = default;
 
-std::int32_t Evaluator::CompileStmt(const Stmt& stmt) {
-  RStmt s;
-  s.kind = stmt.kind();
-  switch (stmt.kind()) {
-    case StmtKind::kAssign: {
-      s.a = CompileExpr(stmt.rhs());
-      const Expr& lhs = *stmt.lhs();
-      s.store = lhs.type().kind();
-      if (lhs.kind() == ExprKind::kVar) {
-        s.lhs_is_var = true;
-        s.slot = VarSlot(lhs.name());
-      } else {
-        s.lhs_is_var = false;
-        s.slot = buffer_id_by_name_.at(lhs.name());
-        s.index = CompileExpr(lhs.operands()[0]);
-      }
-      break;
-    }
-    case StmtKind::kDecl:
-      s.slot = VarSlot(stmt.decl_name());
-      s.store = stmt.decl_type().kind();
-      s.dflt = jvm::DefaultValue(stmt.decl_type());
-      if (stmt.init()) s.a = CompileExpr(stmt.init());
-      break;
-    case StmtKind::kIf:
-      s.a = CompileExpr(stmt.cond());
-      s.body = CompileStmt(*stmt.then_stmt());
-      if (stmt.else_stmt()) s.els = CompileStmt(*stmt.else_stmt());
-      break;
-    case StmtKind::kFor:
-      s.slot = VarSlot(stmt.loop_var());
-      s.trip = stmt.trip_count();
-      s.body = CompileStmt(*stmt.body());
-      break;
-    case StmtKind::kBlock:
-      s.stmts.reserve(stmt.stmts().size());
-      for (const auto& st : stmt.stmts()) {
-        s.stmts.push_back(CompileStmt(*st));
-      }
-      break;
-  }
-  rstmts_.push_back(std::move(s));
-  const auto idx = static_cast<std::int32_t>(rstmts_.size() - 1);
-  if (&stmt == span_.loop()) task_stmt_ = idx;
-  return idx;
-}
-
-Value Evaluator::EvalExpr(std::int32_t idx) {
-  if (++steps_ > max_steps_) {
-    throw InternalError("IR evaluator step budget exceeded");
-  }
-  const RExpr& r = rexprs_[static_cast<std::size_t>(idx)];
-  switch (r.kind) {
-    case ExprKind::kIntLit:
-    case ExprKind::kFloatLit:
-      return r.lit;
-    case ExprKind::kVar:
-      S2FA_CHECK(bound_[static_cast<std::size_t>(r.slot)],
-                 "unbound variable "
-                     << var_names_[static_cast<std::size_t>(r.slot)]);
-      return slots_[static_cast<std::size_t>(r.slot)];
-    case ExprKind::kArrayRef: {
-      std::int64_t index = ToInt64(EvalExpr(r.a));
-      const std::vector<Value>& vec =
-          *bufs_[static_cast<std::size_t>(r.slot)];
-      S2FA_REQUIRE(
-          index >= 0 && static_cast<std::size_t>(index) < vec.size(),
-          "index " << index << " out of bounds for buffer "
-                   << kernel_.buffers[static_cast<std::size_t>(r.slot)].name
-                   << " (size " << vec.size() << ")");
-      return vec[static_cast<std::size_t>(index)];
-    }
-    case ExprKind::kBinary: {
-      Value a = EvalExpr(r.a);
-      Value b = EvalExpr(r.b);
-      switch (r.form) {
-        case BinForm::kCmpInt:
-          return Value::OfInt(CompareValues(r.bop, true, a, b) ? 1 : 0);
-        case BinForm::kCmpFloat:
-          return Value::OfInt(CompareValues(r.bop, false, a, b) ? 1 : 0);
-        case BinForm::kLogical:
-          if (r.bop == BinaryOp::kLAnd) {
-            return Value::OfInt(
-                (ToInt64(a) != 0 && ToInt64(b) != 0) ? 1 : 0);
-          }
-          return Value::OfInt((ToInt64(a) != 0 || ToInt64(b) != 0) ? 1 : 0);
-        case BinForm::kFloat32:
-          return Value::OfFloat(
-              ApplyFloatBin<float>(r.bop, static_cast<float>(ToDouble(a)),
-                                   static_cast<float>(ToDouble(b))));
-        case BinForm::kFloat64:
-          return Value::OfDouble(
-              ApplyFloatBin<double>(r.bop, ToDouble(a), ToDouble(b)));
-        case BinForm::kInt64:
-          return Value::OfLong(
-              ApplyIntBin(r.bop, true, ToInt64(a), ToInt64(b)));
-        case BinForm::kInt32:
-          return Value::OfInt(static_cast<std::int32_t>(
-              ApplyIntBin(r.bop, false, ToInt64(a), ToInt64(b))));
-      }
-      S2FA_UNREACHABLE("bad binary form");
-    }
-    case ExprKind::kUnary:
-      return ApplyUnary(r.uop, r.opnd, EvalExpr(r.a));
-    case ExprKind::kCall: {
-      double x = ToDouble(EvalExpr(r.a));
-      double y = r.b >= 0 ? ToDouble(EvalExpr(r.b)) : 0.0;
-      return ApplyIntrinsic(r.fn, r.type, x, y);
-    }
-    case ExprKind::kCast:
-      return NarrowToKind(r.type, EvalExpr(r.a));
-    case ExprKind::kSelect:
-      return ToInt64(EvalExpr(r.a)) != 0 ? EvalExpr(r.b) : EvalExpr(r.c);
-  }
-  S2FA_UNREACHABLE("bad expr kind");
-}
-
-void Evaluator::ExecStmt(std::int32_t idx) {
-  if (++steps_ > max_steps_) {
-    throw InternalError("IR evaluator step budget exceeded");
-  }
-  const RStmt& s = rstmts_[static_cast<std::size_t>(idx)];
-  switch (s.kind) {
-    case StmtKind::kAssign: {
-      Value v = EvalExpr(s.a);
-      if (s.lhs_is_var) {
-        slots_[static_cast<std::size_t>(s.slot)] = NarrowToKind(s.store, v);
-        bound_[static_cast<std::size_t>(s.slot)] = 1;
-        break;
-      }
-      std::int64_t index = ToInt64(EvalExpr(s.index));
-      std::vector<Value>& vec = *bufs_[static_cast<std::size_t>(s.slot)];
-      S2FA_REQUIRE(
-          index >= 0 && static_cast<std::size_t>(index) < vec.size(),
-          "write index "
-              << index << " out of bounds for buffer "
-              << kernel_.buffers[static_cast<std::size_t>(s.slot)].name);
-      vec[static_cast<std::size_t>(index)] = NarrowToKind(s.store, v);
-      break;
-    }
-    case StmtKind::kDecl: {
-      Value v = s.a >= 0 ? EvalExpr(s.a) : s.dflt;
-      slots_[static_cast<std::size_t>(s.slot)] = NarrowToKind(s.store, v);
-      bound_[static_cast<std::size_t>(s.slot)] = 1;
-      break;
-    }
-    case StmtKind::kIf:
-      if (ToInt64(EvalExpr(s.a)) != 0) {
-        ExecStmt(s.body);
-      } else if (s.els >= 0) {
-        ExecStmt(s.els);
-      }
-      break;
-    case StmtKind::kFor: {
-      const auto slot = static_cast<std::size_t>(s.slot);
-      const std::int64_t trip = idx == task_stmt_ ? task_trip_ : s.trip;
-      if (trip > 0) bound_[slot] = 1;
-      for (std::int64_t i = 0; i < trip; ++i) {
-        slots_[slot] = Value::OfInt(static_cast<std::int32_t>(i));
-        ExecStmt(s.body);
-      }
-      break;
-    }
-    case StmtKind::kBlock:
-      for (std::int32_t st : s.stmts) ExecStmt(st);
-      break;
-  }
-}
+std::uint64_t Evaluator::last_steps() const { return frame_->steps; }
 
 void Evaluator::Run(const std::map<std::string, Value>& scalars,
                     BufferMap& buffers,
                     std::optional<std::int64_t> live_tasks) {
-  steps_ = 0;
-  task_trip_ = span_.Iterations(live_tasks);
-  std::fill(bound_.begin(), bound_.end(), 0);
-  for (std::size_t i = 0; i < kernel_.scalars.size(); ++i) {
-    const auto& s = kernel_.scalars[i];
-    auto it = scalars.find(s.name);
-    S2FA_REQUIRE(it != scalars.end(), "missing scalar argument " << s.name);
-    const auto slot = static_cast<std::size_t>(scalar_slots_[i]);
-    slots_[slot] = it->second;
-    bound_[slot] = 1;
+  const Program::Code& code = *program_->code_;
+  Frame& f = *frame_;
+  f.steps = 0;
+  f.task_trip = program_->span_.Iterations(live_tasks);
+  std::fill(f.bound.begin(), f.bound.end(), 0);
+  for (const Param& p : code.scalars) {
+    auto it = scalars.find(p.name);
+    S2FA_REQUIRE(it != scalars.end(), "missing scalar argument " << p.name);
+    if (!HasKind(it->second, p.kind)) {
+      throw InvalidArgument("scalar argument " + p.name + " is " +
+                            ValueKindName(it->second) + ", declared " +
+                            KindName(p.kind));
+    }
+    const auto slot = static_cast<std::size_t>(p.slot);
+    f.slots[slot] = Load(p.kind, it->second);
+    f.bound[slot] = 1;
   }
-  for (std::size_t i = 0; i < kernel_.buffers.size(); ++i) {
-    const auto& b = kernel_.buffers[i];
+  for (std::size_t i = 0; i < code.buffers.size(); ++i) {
+    const BufferSlot& b = code.buffers[i];
     auto it = buffers.find(b.name);
     if (it == buffers.end()) {
       S2FA_REQUIRE(b.kind != BufferKind::kInput,
@@ -529,178 +1277,12 @@ void Evaluator::Run(const std::map<std::string, Value>& scalars,
                         std::vector<Value>(static_cast<std::size_t>(b.length),
                                            jvm::DefaultValue(b.element)))
                .first;
+    } else {
+      CheckElementKinds(b, it->second);
     }
-    bufs_[i] = &it->second;
+    f.bufs[i] = &it->second;
   }
-  ExecStmt(root_);
-}
-
-// --------------------------------------------------------------------------
-// ReferenceEvaluator: the legacy map-keyed tree walker.
-// --------------------------------------------------------------------------
-
-ReferenceEvaluator::ReferenceEvaluator(const Kernel& kernel)
-    : kernel_(kernel), span_(kernel) {
-  kernel.Validate();
-}
-
-Value ReferenceEvaluator::Eval(const ExprPtr& expr, Env& env) {
-  if (++steps_ > max_steps_) {
-    throw InternalError("IR evaluator step budget exceeded");
-  }
-  const Expr& e = *expr;
-  switch (e.kind()) {
-    case ExprKind::kIntLit:
-      if (e.type().kind() == TypeKind::kLong) {
-        return Value::OfLong(e.int_value());
-      }
-      return Value::OfInt(static_cast<std::int32_t>(e.int_value()));
-    case ExprKind::kFloatLit:
-      return FromDouble(e.type().kind(), e.float_value());
-    case ExprKind::kVar: {
-      auto it = env.vars.find(e.name());
-      S2FA_CHECK(it != env.vars.end(), "unbound variable " << e.name());
-      return it->second;
-    }
-    case ExprKind::kArrayRef: {
-      std::int64_t index = ToInt64(Eval(e.operands()[0], env));
-      auto it = env.buffers->find(e.name());
-      S2FA_CHECK(it != env.buffers->end(), "unbound buffer " << e.name());
-      S2FA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) <
-                                     it->second.size(),
-                   "index " << index << " out of bounds for buffer "
-                            << e.name() << " (size " << it->second.size()
-                            << ")");
-      return it->second[static_cast<std::size_t>(index)];
-    }
-    case ExprKind::kBinary: {
-      Value a = Eval(e.operands()[0], env);
-      Value b = Eval(e.operands()[1], env);
-      const Type& t = e.operands()[0]->type();
-      BinaryOp op = e.binary_op();
-      if (IsComparison(op)) {
-        return Value::OfInt(
-            CompareValues(op, t.is_integral(), a, b) ? 1 : 0);
-      }
-      if (op == BinaryOp::kLAnd) {
-        return Value::OfInt((ToInt64(a) != 0 && ToInt64(b) != 0) ? 1 : 0);
-      }
-      if (op == BinaryOp::kLOr) {
-        return Value::OfInt((ToInt64(a) != 0 || ToInt64(b) != 0) ? 1 : 0);
-      }
-      if (t.is_floating()) {
-        if (t.kind() == TypeKind::kFloat) {
-          return Value::OfFloat(
-              ApplyFloatBin<float>(op, static_cast<float>(ToDouble(a)),
-                                   static_cast<float>(ToDouble(b))));
-        }
-        return Value::OfDouble(
-            ApplyFloatBin<double>(op, ToDouble(a), ToDouble(b)));
-      }
-      const bool wide = t.kind() == TypeKind::kLong;
-      std::int64_t r = ApplyIntBin(op, wide, ToInt64(a), ToInt64(b));
-      if (wide) return Value::OfLong(r);
-      return Value::OfInt(static_cast<std::int32_t>(r));
-    }
-    case ExprKind::kUnary:
-      return ApplyUnary(e.unary_op(), e.operands()[0]->type().kind(),
-                        Eval(e.operands()[0], env));
-    case ExprKind::kCall: {
-      double x = ToDouble(Eval(e.operands()[0], env));
-      double y = e.operands().size() > 1
-                     ? ToDouble(Eval(e.operands()[1], env))
-                     : 0.0;
-      return ApplyIntrinsic(e.intrinsic(), e.type().kind(), x, y);
-    }
-    case ExprKind::kCast: {
-      Value a = Eval(e.operands()[0], env);
-      return NarrowToElement(e.type(), a);
-    }
-    case ExprKind::kSelect: {
-      Value c = Eval(e.operands()[0], env);
-      return ToInt64(c) != 0 ? Eval(e.operands()[1], env)
-                             : Eval(e.operands()[2], env);
-    }
-  }
-  S2FA_UNREACHABLE("bad expr kind");
-}
-
-void ReferenceEvaluator::Exec(const Stmt& stmt, Env& env) {
-  if (++steps_ > max_steps_) {
-    throw InternalError("IR evaluator step budget exceeded");
-  }
-  switch (stmt.kind()) {
-    case StmtKind::kAssign: {
-      Value v = Eval(stmt.rhs(), env);
-      const Expr& lhs = *stmt.lhs();
-      if (lhs.kind() == ExprKind::kVar) {
-        env.vars[lhs.name()] = NarrowToElement(lhs.type(), v);
-      } else {
-        std::int64_t index = ToInt64(Eval(lhs.operands()[0], env));
-        auto it = env.buffers->find(lhs.name());
-        S2FA_CHECK(it != env.buffers->end(), "unbound buffer " << lhs.name());
-        S2FA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) <
-                                       it->second.size(),
-                     "write index " << index << " out of bounds for buffer "
-                                    << lhs.name());
-        it->second[static_cast<std::size_t>(index)] =
-            NarrowToElement(lhs.type(), v);
-      }
-      break;
-    }
-    case StmtKind::kDecl: {
-      Value v = stmt.init() ? Eval(stmt.init(), env)
-                            : jvm::DefaultValue(stmt.decl_type());
-      env.vars[stmt.decl_name()] = NarrowToElement(stmt.decl_type(), v);
-      break;
-    }
-    case StmtKind::kIf: {
-      Value c = Eval(stmt.cond(), env);
-      if (ToInt64(c) != 0) {
-        Exec(*stmt.then_stmt(), env);
-      } else if (stmt.else_stmt()) {
-        Exec(*stmt.else_stmt(), env);
-      }
-      break;
-    }
-    case StmtKind::kFor: {
-      const std::int64_t trip =
-          &stmt == span_.loop() ? task_trip_ : stmt.trip_count();
-      for (std::int64_t i = 0; i < trip; ++i) {
-        env.vars[stmt.loop_var()] =
-            Value::OfInt(static_cast<std::int32_t>(i));
-        Exec(*stmt.body(), env);
-      }
-      break;
-    }
-    case StmtKind::kBlock:
-      for (const auto& st : stmt.stmts()) Exec(*st, env);
-      break;
-  }
-}
-
-void ReferenceEvaluator::Run(const std::map<std::string, Value>& scalars,
-                             BufferMap& buffers,
-                             std::optional<std::int64_t> live_tasks) {
-  steps_ = 0;
-  task_trip_ = span_.Iterations(live_tasks);
-  Env env;
-  env.buffers = &buffers;
-  for (const auto& s : kernel_.scalars) {
-    auto it = scalars.find(s.name);
-    S2FA_REQUIRE(it != scalars.end(), "missing scalar argument " << s.name);
-    env.vars[s.name] = it->second;
-  }
-  for (const auto& b : kernel_.buffers) {
-    auto it = buffers.find(b.name);
-    if (it == buffers.end()) {
-      S2FA_REQUIRE(b.kind != BufferKind::kInput,
-                   "missing input buffer " << b.name);
-      buffers[b.name].assign(static_cast<std::size_t>(b.length),
-                             jvm::DefaultValue(b.element));
-    }
-  }
-  Exec(*kernel_.body, env);
+  Exec(code.root, f);
 }
 
 }  // namespace s2fa::kir

@@ -2,27 +2,40 @@
 //
 // Executes a kernel on concrete data with the same numeric semantics as the
 // bytecode it was compiled from (Java semantics: exact integral compares,
-// NaN-propagating signed-zero-aware min/max). Used to prove functional
-// equivalence: interpreted bytecode == compiled IR == Merlin-transformed
-// IR, the end-to-end correctness obligation of the bytecode-to-C compiler.
+// wrapping int/long arithmetic, MIN / -1 == MIN, NaN-propagating
+// signed-zero-aware min/max). Used to prove functional equivalence:
+// interpreted bytecode == compiled IR == Merlin-transformed IR, the
+// end-to-end correctness obligation of the bytecode-to-C compiler. It is
+// also the functional engine behind every Blaze Map/Reduce and the host
+// path an invocation degrades to when its accelerator fails.
 //
-// Two implementations share that contract:
+// Typed closure compilation. A Program compiles a kernel once: every IR
+// node becomes a node holding a function pointer specialised on its
+// (node kind, numeric form, op, store kind) — e.g. a float add, an int
+// store into a short buffer, a cast to char — plus pointers to its operand
+// nodes. Every variable gets a dense slot and every buffer a dense index.
+// Each node's value kind (int, long, float or double: the Value
+// alternative the node produces) is static, so a node returns an unboxed
+// 8-byte word and evaluation never switches on an op or inspects a Value
+// alternative. A variable or buffer must therefore have a single static
+// kind: its declaration, every store to it and (for scalars) its parameter
+// type must agree, or construction throws MalformedInput naming it.
 //
-//  - Evaluator (the hot path): a resolution pass at construction compiles
-//    the kernel into flat vectors of resolved nodes — every scalar, local,
-//    and loop variable gets a dense integer slot, every buffer a dense
-//    buffer index, literals are pre-materialized, and binary ops are
-//    pre-classified by numeric domain — so evaluation never touches a
-//    string-keyed map. This is what the DSE loop and the Blaze runtime run
-//    thousands of times per exploration.
+// Program and frame. A Program is immutable after construction, so one
+// Program can back any number of Evaluators on any number of threads (the
+// Blaze runtime compiles one per registered accelerator). An Evaluator is
+// the per-run frame over a Program: the variable words and bound flags,
+// the buffer pointers and the step counter. It is not thread-safe; each
+// thread owns its own.
 //
-//  - ReferenceEvaluator: the original map-keyed tree walker, retained as
-//    executable reference semantics. The differential fuzz harness runs
-//    every random kernel through both and requires bit-identical buffers,
-//    so the fast path can never silently diverge.
-//
-// Both count one step per IR node visited (same runaway budget), and both
-// keep the map-keyed Run signature, so they are drop-in interchangeable.
+// Checks. Evaluation charges one step per IR node visited against a
+// runaway budget; a statement charges itself and the expression nodes it
+// will visit up front (a select charges the arm it takes), so a completed
+// run counts every node exactly and a run that throws may include the rest
+// of the statement it threw in. Reads of unbound variables fail, buffer
+// reads and writes are bounds-checked, integral division and remainder by
+// zero fail, and Run rejects a scalar argument or buffer element whose
+// Value kind differs from the declared kind.
 //
 // Live tasks. A template kernel processes a fixed batch of tasks in its
 // task loop (Kernel::task_loop_id, the outer loop after Merlin tiling, so
@@ -40,6 +53,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +71,8 @@ using jvm::Value;
 // if absent.
 using BufferMap = std::map<std::string, std::vector<Value>>;
 
-// How a kernel's task loop covers its batch; resolved once per kernel and
-// shared by both evaluators (see "Live tasks" above).
+// How a kernel's task loop covers its batch; resolved once per kernel (see
+// "Live tasks" above).
 class TaskSpan {
  public:
   explicit TaskSpan(const Kernel& kernel);
@@ -72,16 +86,45 @@ class TaskSpan {
 
  private:
   const Stmt* loop_ = nullptr;
+  std::int64_t trip_ = 0;            // task-loop trip count
   std::int64_t batch_ = 0;           // template tasks per invocation
   std::int64_t tasks_per_iter_ = 0;  // 0: shape unresolved, run in full
 };
 
-// Slot-resolved evaluator: name lookups are compiled away at construction.
-// Not thread-safe; each thread should own its own instance (construction
-// cost amortizes over the batches of a run).
+// A kernel compiled into typed closures (see file comment). Immutable and
+// self-contained: it keeps no reference to the kernel it came from.
+class Program {
+ public:
+  // Validates and compiles `kernel`; throws MalformedInput when a variable
+  // or buffer has no single static kind.
+  explicit Program(const Kernel& kernel);
+  ~Program();
+  Program(const Program&) = delete;
+  Program& operator=(const Program&) = delete;
+
+  std::int64_t LiveRows(std::int64_t live_tasks) const {
+    return span_.LiveRows(live_tasks);
+  }
+
+  struct Code;  // the compiled node graph (eval.cc)
+
+ private:
+  friend class Evaluator;
+
+  TaskSpan span_;
+  std::unique_ptr<const Code> code_;
+};
+
+// The per-run frame over a Program.
 class Evaluator {
  public:
+  // Compiles a private Program for `kernel`.
   explicit Evaluator(const Kernel& kernel);
+  // Runs an already compiled (possibly shared) Program.
+  explicit Evaluator(std::shared_ptr<const Program> program);
+  ~Evaluator();
+  Evaluator(Evaluator&&) noexcept;
+  Evaluator& operator=(Evaluator&&) noexcept;
 
   // Runs the kernel. `scalars` provides values for every declared scalar
   // parameter. `buffers` provides inputs and receives outputs. Missing
@@ -94,115 +137,17 @@ class Evaluator {
 
   // Tasks a Run with `live_tasks` can touch (see file comment).
   std::int64_t LiveRows(std::int64_t live_tasks) const {
-    return span_.LiveRows(live_tasks);
+    return program_->LiveRows(live_tasks);
   }
 
   // Instruction-ish step count of the last Run (sanity/runaway guard).
-  std::uint64_t last_steps() const { return steps_; }
+  std::uint64_t last_steps() const;
+
+  struct Frame;  // variable words, bound flags, buffer pointers, steps
 
  private:
-  // Numeric domain of a binary op, pre-classified at resolution time so
-  // evaluation switches on a dense enum instead of re-deriving it from
-  // Type objects per node.
-  enum class BinForm : std::uint8_t {
-    kCmpInt,    // comparison, integral operands (exact int64 compare)
-    kCmpFloat,  // comparison, floating operands (double compare)
-    kLogical,   // kLAnd / kLOr
-    kFloat32,   // float arithmetic (computed in float)
-    kFloat64,   // double arithmetic
-    kInt32,     // int-family arithmetic (computed in int64, narrowed)
-    kInt64,     // long arithmetic
-  };
-
-  // One resolved expression node; operands are indices into rexprs_.
-  struct RExpr {
-    ExprKind kind = ExprKind::kIntLit;
-    BinForm form = BinForm::kInt32;
-    BinaryOp bop = BinaryOp::kAdd;
-    UnaryOp uop = UnaryOp::kNeg;
-    Intrinsic fn = Intrinsic::kExp;
-    TypeKind type = TypeKind::kInt;  // node result type
-    TypeKind opnd = TypeKind::kInt;  // first operand's type (unary/binary)
-    std::int32_t slot = -1;          // var slot (kVar) / buffer id (kArrayRef)
-    std::int32_t a = -1;
-    std::int32_t b = -1;
-    std::int32_t c = -1;
-    Value lit;  // pre-materialized literal (kIntLit / kFloatLit)
-  };
-
-  // One resolved statement node; children are indices into rstmts_.
-  struct RStmt {
-    StmtKind kind = StmtKind::kBlock;
-    std::int32_t a = -1;          // rhs / init / cond expression
-    std::int32_t index = -1;      // assign-to-array index expression
-    std::int32_t slot = -1;       // var slot or buffer id of the target
-    bool lhs_is_var = true;       // kAssign: variable vs array element
-    TypeKind store = TypeKind::kInt;  // narrow-to type for assign/decl
-    Value dflt;                   // decl default (no initializer)
-    std::int64_t trip = 0;        // kFor trip count
-    std::int32_t body = -1;       // for body / if then
-    std::int32_t els = -1;        // if else
-    std::vector<std::int32_t> stmts;  // kBlock children
-  };
-
-  std::int32_t VarSlot(const std::string& name);
-  std::int32_t CompileExpr(const ExprPtr& expr);
-  std::int32_t CompileStmt(const Stmt& stmt);
-  Value EvalExpr(std::int32_t idx);
-  void ExecStmt(std::int32_t idx);
-
-  const Kernel& kernel_;
-  TaskSpan span_;
-
-  // Resolved program (built once at construction).
-  std::vector<RExpr> rexprs_;
-  std::vector<RStmt> rstmts_;
-  std::int32_t root_ = -1;
-  std::int32_t task_stmt_ = -1;  // rstmts_ index of the task loop
-  std::vector<std::string> var_names_;     // slot -> name (diagnostics)
-  std::map<std::string, std::int32_t> var_slots_;
-  std::vector<std::int32_t> scalar_slots_;  // kernel_.scalars[i] -> slot
-  std::vector<std::int32_t> buffer_ids_;    // kernel_.buffers[i] -> id
-  std::map<std::string, std::int32_t> buffer_id_by_name_;
-
-  // Flat runtime environment (reset per Run).
-  std::vector<Value> slots_;
-  std::vector<std::uint8_t> bound_;
-  std::vector<std::vector<Value>*> bufs_;
-  std::int64_t task_trip_ = 0;  // task-loop iterations of this Run
-
-  std::uint64_t steps_ = 0;
-  std::uint64_t max_steps_ = 2'000'000'000ULL;
-};
-
-// The legacy map-keyed tree walker (reference semantics; see file comment).
-class ReferenceEvaluator {
- public:
-  explicit ReferenceEvaluator(const Kernel& kernel);
-
-  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
-           std::optional<std::int64_t> live_tasks = std::nullopt);
-
-  std::int64_t LiveRows(std::int64_t live_tasks) const {
-    return span_.LiveRows(live_tasks);
-  }
-
-  std::uint64_t last_steps() const { return steps_; }
-
- private:
-  struct Env {
-    std::map<std::string, Value> vars;
-    BufferMap* buffers = nullptr;
-  };
-
-  Value Eval(const ExprPtr& expr, Env& env);
-  void Exec(const Stmt& stmt, Env& env);
-
-  const Kernel& kernel_;
-  TaskSpan span_;
-  std::int64_t task_trip_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t max_steps_ = 2'000'000'000ULL;
+  std::shared_ptr<const Program> program_;
+  std::unique_ptr<Frame> frame_;
 };
 
 }  // namespace s2fa::kir

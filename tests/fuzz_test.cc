@@ -29,6 +29,7 @@
 #include "kir/eval.h"
 #include "merlin/transform.h"
 #include "support/rng.h"
+#include "testlib/reference_eval.h"
 
 namespace s2fa {
 namespace {
@@ -265,9 +266,11 @@ merlin::DesignConfig RandomLegalConfig(const kir::Kernel& kernel, Rng& rng) {
   }
   for (const auto& buf : kernel.buffers) {
     if (buf.kind == kir::BufferKind::kLocal) continue;
-    const std::int64_t widths[] = {32, 64, 128, 256, 512};
-    cfg.buffer_bits[buf.name] =
-        static_cast<int>(widths[rng.NextIndex(5)]);
+    std::vector<int> widths;
+    for (int w = 32; w <= 512; w *= 2) {
+      if (w >= buf.element.bit_width()) widths.push_back(w);
+    }
+    cfg.buffer_bits[buf.name] = widths[rng.NextIndex(widths.size())];
   }
   return cfg;
 }
@@ -467,6 +470,421 @@ void RunDifferential(std::uint64_t seed) {
   ASSERT_EQ(kir::Evaluator(tiled_kernel).LiveRows(live),
             (live / tile + 1) * tile);
   ExpectEvaluatorsBitIdentical(tiled_kernel, inputs, full, live);
+}
+
+// ------------------------------------------------- integer kernel family
+//
+// The float family above never exercises int/long arithmetic. This one
+// generates kernels over int and long tuple fields: wrap-around add/sub/
+// mul/neg, shifts by arbitrary (unmasked) counts, div/rem by divisors kept
+// non-zero (but including -1, so MIN / -1 and MIN % -1 occur), min/max,
+// l2i/i2l and the byte/char/short narrowings, and int and long compares.
+
+// Local slots of `static long call(IntIn in)`: 0 = in, 1 = int[], 2 =
+// long[], 3 = int field, 4-5 = long field, 6-7 = accumulator, 8 = loop
+// index, 9 = int temp.
+constexpr int kIntScalarSlot = 3;
+constexpr int kLongScalarSlot = 4;
+constexpr int kLongAccSlot = 6;
+constexpr int kIntLoopSlot = 8;
+constexpr int kIntTempSlot = 9;
+
+std::int32_t RandomInt(Rng& rng) {
+  static constexpr std::int32_t kEdges[] = {INT32_MIN, INT32_MAX, -1, 0, 1};
+  if (rng.NextBool(0.25)) return kEdges[rng.NextIndex(5)];
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(rng.Next()));
+}
+
+std::int64_t RandomLong(Rng& rng) {
+  static constexpr std::int64_t kEdges[] = {INT64_MIN, INT64_MAX, -1, 0, 1};
+  if (rng.NextBool(0.25)) return kEdges[rng.NextIndex(5)];
+  return static_cast<std::int64_t>(rng.Next());
+}
+
+class IntExprGen {
+ public:
+  IntExprGen(Assembler& a, Rng& rng) : a_(a), rng_(rng) {}
+
+  // Leaves one int on the operand stack.
+  void EmitInt(int depth) {
+    switch (rng_.NextInt(0, depth <= 0 ? 3 : 11)) {
+      case 0:
+        a_.IConst(rng_.NextBool() ? RandomInt(rng_)
+                                  : static_cast<std::int32_t>(
+                                        rng_.NextInt(-1000, 1000)));
+        break;
+      case 1:
+        a_.Load(Type::Int(), kIntScalarSlot);
+        break;
+      case 2:
+        a_.Load(Type::Array(Type::Int()), 1);
+        a_.Load(Type::Int(), kIntLoopSlot);
+        a_.ALoadElem(Type::Int());
+        break;
+      case 3:
+        a_.Load(Type::Int(), kIntLoopSlot);
+        break;
+      case 4:
+      case 5:
+        EmitInt(depth - 1);
+        EmitInt(depth - 1);
+        a_.Bin(Type::Int(), kArith[rng_.NextIndex(8)]);
+        break;
+      case 6:
+        EmitInt(depth - 1);
+        EmitInt(depth - 1);  // any count: the JVM masks it to 5 bits
+        a_.Bin(Type::Int(), kShifts[rng_.NextIndex(3)]);
+        break;
+      case 7:
+        // MIN / -1 and MIN % -1 must come up, not just be possible.
+        if (rng_.NextInt(0, 2) == 0) {
+          a_.IConst(INT32_MIN);
+        } else {
+          EmitInt(depth - 1);
+        }
+        EmitIntDivisor(depth - 1);
+        a_.Bin(Type::Int(), rng_.NextBool() ? jvm::BinOp::kDiv
+                                            : jvm::BinOp::kRem);
+        break;
+      case 8:
+        EmitInt(depth - 1);
+        a_.Neg(Type::Int());
+        break;
+      case 9:
+        EmitLong(depth - 1);
+        a_.Convert(Type::Long(), Type::Int());
+        break;
+      case 10: {
+        static const Type kNarrow[] = {Type::Byte(), Type::Char(),
+                                       Type::Short()};
+        EmitInt(depth - 1);
+        a_.Convert(Type::Int(), kNarrow[rng_.NextIndex(3)]);
+        break;
+      }
+      default:
+        EmitInt(depth - 1);
+        a_.IConst(RandomInt(rng_)).Bin(Type::Int(), jvm::BinOp::kMul);
+        break;
+    }
+  }
+
+  // Leaves one long on the operand stack.
+  void EmitLong(int depth) {
+    switch (rng_.NextInt(0, depth <= 0 ? 3 : 9)) {
+      case 0:
+        a_.LConst(rng_.NextBool() ? RandomLong(rng_)
+                                  : rng_.NextInt(-1000, 1000));
+        break;
+      case 1:
+        a_.Load(Type::Long(), kLongScalarSlot);
+        break;
+      case 2:
+        a_.Load(Type::Array(Type::Long()), 2);
+        a_.Load(Type::Int(), kIntLoopSlot);
+        a_.ALoadElem(Type::Long());
+        break;
+      case 3:
+        EmitInt(depth - 1);
+        a_.Convert(Type::Int(), Type::Long());
+        break;
+      case 4:
+      case 5:
+        EmitLong(depth - 1);
+        EmitLong(depth - 1);
+        a_.Bin(Type::Long(), kArith[rng_.NextIndex(8)]);
+        break;
+      case 6:
+        EmitLong(depth - 1);
+        EmitInt(depth - 1);  // lshl/lshr/lushr take an int count
+        a_.Bin(Type::Long(), kShifts[rng_.NextIndex(3)]);
+        break;
+      case 7:
+        if (rng_.NextInt(0, 2) == 0) {
+          a_.LConst(INT64_MIN);
+        } else {
+          EmitLong(depth - 1);
+        }
+        EmitLongDivisor(depth - 1);
+        a_.Bin(Type::Long(), rng_.NextBool() ? jvm::BinOp::kDiv
+                                             : jvm::BinOp::kRem);
+        break;
+      case 8:
+        EmitLong(depth - 1);
+        a_.Neg(Type::Long());
+        break;
+      default:
+        EmitLong(depth - 1);
+        a_.LConst(RandomLong(rng_)).Bin(Type::Long(), jvm::BinOp::kMul);
+        break;
+    }
+  }
+
+ private:
+  static constexpr jvm::BinOp kArith[] = {
+      jvm::BinOp::kAdd, jvm::BinOp::kSub, jvm::BinOp::kMul, jvm::BinOp::kAnd,
+      jvm::BinOp::kOr,  jvm::BinOp::kXor, jvm::BinOp::kMin, jvm::BinOp::kMax};
+  static constexpr jvm::BinOp kShifts[] = {
+      jvm::BinOp::kShl, jvm::BinOp::kShr, jvm::BinOp::kUShr};
+
+  // A divisor that cannot be zero: -1, another constant, or x | 1.
+  void EmitIntDivisor(int depth) {
+    static constexpr std::int32_t kDivisors[] = {1, 3, -7, INT32_MIN,
+                                                 INT32_MAX};
+    switch (rng_.NextInt(0, 2)) {
+      case 0:
+        a_.IConst(-1);
+        break;
+      case 1:
+        a_.IConst(kDivisors[rng_.NextIndex(5)]);
+        break;
+      default:
+        EmitInt(depth);
+        a_.IConst(1).Bin(Type::Int(), jvm::BinOp::kOr);
+        break;
+    }
+  }
+
+  void EmitLongDivisor(int depth) {
+    static constexpr std::int64_t kDivisors[] = {1, 3, -7, INT64_MIN,
+                                                 INT64_MAX};
+    switch (rng_.NextInt(0, 2)) {
+      case 0:
+        a_.LConst(-1);
+        break;
+      case 1:
+        a_.LConst(kDivisors[rng_.NextIndex(5)]);
+        break;
+      default:
+        EmitLong(depth);
+        a_.LConst(1).Bin(Type::Long(), jvm::BinOp::kOr);
+        break;
+    }
+  }
+
+  Assembler& a_;
+  Rng& rng_;
+};
+
+// Emits one random statement updating the long accumulator.
+void EmitIntLoopStatement(Assembler& a, Rng& rng) {
+  IntExprGen gen(a, rng);
+  auto add_to_acc = [&](jvm::BinOp op, int depth) {
+    a.Load(Type::Long(), kLongAccSlot);
+    gen.EmitLong(depth);
+    a.Bin(Type::Long(), op).Store(Type::Long(), kLongAccSlot);
+  };
+  switch (rng.NextInt(0, 3)) {
+    case 0:
+      add_to_acc(jvm::BinOp::kAdd, 2);
+      break;
+    case 1:
+      // t = <int expr>; acc = acc * 31 + t
+      gen.EmitInt(2);
+      a.Store(Type::Int(), kIntTempSlot);
+      a.Load(Type::Long(), kLongAccSlot).LConst(31);
+      a.Bin(Type::Long(), jvm::BinOp::kMul);
+      a.Load(Type::Int(), kIntTempSlot).Convert(Type::Int(), Type::Long());
+      a.Bin(Type::Long(), jvm::BinOp::kAdd).Store(Type::Long(), kLongAccSlot);
+      break;
+    case 2: {
+      // if (<int> < <int>) acc ^= <long> [else acc -= <long>]
+      auto skip = a.NewLabel();
+      gen.EmitInt(1);
+      gen.EmitInt(1);
+      if (!rng.NextBool()) {
+        a.IfICmp(Cond::kGe, skip);
+        add_to_acc(jvm::BinOp::kXor, 1);
+        a.Bind(skip);
+        break;
+      }
+      auto done = a.NewLabel();
+      a.IfICmp(Cond::kGe, skip);
+      add_to_acc(jvm::BinOp::kXor, 1);
+      a.Goto(done);
+      a.Bind(skip);
+      add_to_acc(jvm::BinOp::kSub, 1);
+      a.Bind(done);
+      break;
+    }
+    default: {
+      // if (<long> > <long>) acc = acc + (long) <int>
+      auto skip = a.NewLabel();
+      gen.EmitLong(1);
+      gen.EmitLong(1);
+      a.Cmp(Type::Long()).If(Cond::kLe, skip);
+      a.Load(Type::Long(), kLongAccSlot);
+      gen.EmitInt(1);
+      a.Convert(Type::Int(), Type::Long()).Bin(Type::Long(), jvm::BinOp::kAdd);
+      a.Store(Type::Long(), kLongAccSlot);
+      a.Bind(skip);
+      break;
+    }
+  }
+}
+
+FuzzCase GenerateIntKernel(std::uint64_t seed) {
+  Rng rng(seed);
+  FuzzCase fc;
+  fc.pool = std::make_shared<jvm::ClassPool>();
+
+  jvm::Klass& in = fc.pool->Define("IntIn");
+  in.AddField({"_1", Type::Array(Type::Int())});
+  in.AddField({"_2", Type::Array(Type::Long())});
+  in.AddField({"_3", Type::Int()});
+  in.AddField({"_4", Type::Long()});
+
+  jvm::Klass& k = fc.pool->Define("IntKernel");
+  Assembler a;
+  const Type in_type = Type::Class("IntIn");
+  a.Load(in_type, 0).GetField("IntIn", "_1").Store(Type::Array(Type::Int()), 1);
+  a.Load(in_type, 0).GetField("IntIn", "_2")
+      .Store(Type::Array(Type::Long()), 2);
+  a.Load(in_type, 0).GetField("IntIn", "_3")
+      .Store(Type::Int(), kIntScalarSlot);
+  a.Load(in_type, 0).GetField("IntIn", "_4")
+      .Store(Type::Long(), kLongScalarSlot);
+  a.LConst(0).Store(Type::Long(), kLongAccSlot);
+  const int loops = static_cast<int>(rng.NextInt(1, 2));
+  for (int l = 0; l < loops; ++l) {
+    a.IConst(0).Store(Type::Int(), kIntLoopSlot);
+    auto head = a.NewLabel();
+    auto exit = a.NewLabel();
+    a.Bind(head);
+    a.Load(Type::Int(), kIntLoopSlot).IConst(kArrayLen)
+        .IfICmp(Cond::kGe, exit);
+    const int stmts = static_cast<int>(rng.NextInt(1, 3));
+    for (int s = 0; s < stmts; ++s) EmitIntLoopStatement(a, rng);
+    a.IInc(kIntLoopSlot, 1);
+    a.Goto(head);
+    a.Bind(exit);
+  }
+  a.Load(Type::Long(), kLongAccSlot).Ret(Type::Long());
+  MethodSignature sig;
+  sig.params = {in_type};
+  sig.ret = Type::Long();
+  k.AddMethod(jvm::MakeMethod("call", sig, true, 10, a.Finish()));
+
+  fc.spec.kernel_name = "int_fuzz_kernel";
+  fc.spec.klass = "IntKernel";
+  fc.spec.input.type = in_type;
+  auto field = [](const char* name, Type element, std::int64_t length) {
+    b2c::FieldSpec f;
+    f.name = name;
+    f.element = element;
+    f.length = length;
+    f.is_array = length > 1;
+    return f;
+  };
+  fc.spec.input.fields = {field("_1", Type::Int(), kArrayLen),
+                          field("_2", Type::Long(), kArrayLen),
+                          field("_3", Type::Int(), 1),
+                          field("_4", Type::Long(), 1)};
+  fc.spec.output.type = Type::Long();
+  fc.spec.output.fields = {field("ret", Type::Long(), 1)};
+  fc.spec.batch = 16;
+  return fc;
+}
+
+// Interpreter vs compiled IR (typed evaluator) vs the reference walker on
+// one integer kernel, bit for bit, with equal evaluator step counts.
+void RunIntDifferential(std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  FuzzCase fc = GenerateIntKernel(seed);
+  jvm::VerifyOrThrow(*fc.pool, fc.pool->Get("IntKernel").GetMethod("call"));
+  kir::Kernel kernel = b2c::CompileKernel(*fc.pool, fc.spec);
+
+  Rng drng(seed ^ 0x1A7EULL);
+  const std::size_t batch = static_cast<std::size_t>(fc.spec.batch);
+  std::vector<std::int32_t> ints(batch * kArrayLen), int_field(batch);
+  std::vector<std::int64_t> longs(batch * kArrayLen), long_field(batch);
+  for (auto& v : ints) v = RandomInt(drng);
+  for (auto& v : longs) v = RandomLong(drng);
+  for (auto& v : int_field) v = RandomInt(drng);
+  for (auto& v : long_field) v = RandomLong(drng);
+
+  jvm::Heap heap;
+  jvm::Interpreter interp(*fc.pool, heap);
+  std::vector<std::int64_t> expect(batch);
+  for (std::size_t r = 0; r < batch; ++r) {
+    jvm::Ref vi = heap.NewArray(Type::Array(Type::Int()), kArrayLen);
+    jvm::Ref vl = heap.NewArray(Type::Array(Type::Long()), kArrayLen);
+    for (std::size_t e = 0; e < static_cast<std::size_t>(kArrayLen); ++e) {
+      heap.Get(vi).slots[e] = Value::OfInt(ints[r * kArrayLen + e]);
+      heap.Get(vl).slots[e] = Value::OfLong(longs[r * kArrayLen + e]);
+    }
+    jvm::Ref obj = heap.NewInstance(Type::Class("IntIn"), 4);
+    heap.Get(obj).slots[0] = Value::OfRef(vi);
+    heap.Get(obj).slots[1] = Value::OfRef(vl);
+    heap.Get(obj).slots[2] = Value::OfInt(int_field[r]);
+    heap.Get(obj).slots[3] = Value::OfLong(long_field[r]);
+    expect[r] =
+        interp.Invoke("IntKernel", "call", {Value::OfRef(obj)}).ret.AsLong();
+  }
+
+  kir::BufferMap inputs;
+  for (std::int32_t v : ints) inputs["in_1"].push_back(Value::OfInt(v));
+  for (std::int64_t v : longs) inputs["in_2"].push_back(Value::OfLong(v));
+  for (std::int32_t v : int_field) inputs["in_3"].push_back(Value::OfInt(v));
+  for (std::int64_t v : long_field) {
+    inputs["in_4"].push_back(Value::OfLong(v));
+  }
+  kir::BufferMap buffers = inputs;
+  kir::Evaluator(kernel).Run(
+      {{"N", Value::OfInt(static_cast<std::int32_t>(batch))}}, buffers);
+  for (std::size_t r = 0; r < batch; ++r) {
+    ASSERT_EQ(buffers["out_1"][r].AsLong(), expect[r]) << "record " << r;
+  }
+
+  const auto full = static_cast<std::int64_t>(batch);
+  Rng trng(seed ^ 0x17D3ULL);
+  kir::Kernel transformed =
+      merlin::ApplyDesign(kernel, RandomLegalConfig(kernel, trng)).kernel;
+  for (const kir::Kernel* k : {&kernel, &transformed}) {
+    ExpectEvaluatorsBitIdentical(*k, inputs, full);
+    ExpectEvaluatorsBitIdentical(*k, inputs, full, trng.NextInt(1, full));
+  }
+}
+
+class IntegerDifferentialFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(IntegerDifferentialFuzz, InterpreterAndBothEvaluatorsAgree) {
+  for (int k = 0; k < 8; ++k) {
+    RunIntDifferential(static_cast<std::uint64_t>(GetParam()) * 1000 +
+                       static_cast<std::uint64_t>(k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntegerDifferentialFuzz,
+                         ::testing::Range(0, 8));
+
+TEST(FuzzGeneratorTest, IntKernelsCoverTheIntegerEdgeCases) {
+  // Over the pinned seeds the generator must emit every integer op the
+  // family exists for, so a generator change cannot silently drop one.
+  std::map<std::string, int> seen;
+  for (int p = 0; p < 8; ++p) {
+    for (int k = 0; k < 8; ++k) {
+      FuzzCase fc = GenerateIntKernel(static_cast<std::uint64_t>(p) * 1000 +
+                                      static_cast<std::uint64_t>(k));
+      for (const jvm::Insn& insn :
+           fc.pool->Get("IntKernel").GetMethod("call").code) {
+        ++seen[insn.ToString()];
+      }
+    }
+  }
+  auto count = [&](const std::string& needle) {
+    int n = 0;
+    for (const auto& [text, c] : seen) {
+      if (text.find(needle) != std::string::npos) n += c;
+    }
+    return n;
+  };
+  for (const char* op :
+       {"binop long div", "binop long rem", "binop int div", "binop int rem",
+        "binop long shl", "binop long ushr", "binop int shl",
+        "binop int ushr", "neg long", "neg int", "convert long->int",
+        "convert int->long", "convert int->short", "cmp long"}) {
+    EXPECT_GT(count(op), 0) << op;
+  }
 }
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};

@@ -289,6 +289,100 @@ TEST_F(InterpFixture, IntDivisionSemantics) {
   EXPECT_THROW(call(1, 0), InvalidArgument);
 }
 
+// Adds `static long name(long x, <count> y) = x op y` to class Test.
+void AddLongBinMethod(Klass& k, const std::string& name, BinOp op,
+                      Type count = Type::Long()) {
+  Assembler a;
+  a.Load(Type::Long(), 0).Load(count, 2).Bin(Type::Long(), op);
+  a.Ret(Type::Long());
+  MethodSignature sig;
+  sig.params = {Type::Long(), count};
+  sig.ret = Type::Long();
+  k.AddMethod(MakeMethod(name, sig, true, 4, a.Finish()));
+}
+
+TEST_F(InterpFixture, LongDivisionOverflowFollowsJava) {
+  Klass& k = pool_.Define("Test");
+  AddLongBinMethod(k, "div", BinOp::kDiv);
+  AddLongBinMethod(k, "rem", BinOp::kRem);
+  Interpreter interp(pool_, heap_);
+  auto call = [&](const char* m, std::int64_t x, std::int64_t y) {
+    return interp.Invoke("Test", m, {Value::OfLong(x), Value::OfLong(y)})
+        .ret.AsLong();
+  };
+  EXPECT_EQ(call("div", INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(call("rem", INT64_MIN, -1), 0);
+  EXPECT_EQ(call("div", -7, 2), -3);
+  EXPECT_EQ(call("rem", -7, 2), -1);
+  EXPECT_THROW(call("div", 1, 0), InvalidArgument);
+}
+
+TEST_F(InterpFixture, LongShiftsTakeAnIntCount) {
+  Klass& k = pool_.Define("Test");
+  AddLongBinMethod(k, "shl", BinOp::kShl, Type::Int());
+  AddLongBinMethod(k, "shr", BinOp::kShr, Type::Int());
+  AddLongBinMethod(k, "ushr", BinOp::kUShr, Type::Int());
+  for (const char* m : {"shl", "shr", "ushr"}) {
+    EXPECT_TRUE(Verify(pool_, k.GetMethod(m)).ok) << m;
+  }
+  Interpreter interp(pool_, heap_);
+  auto call = [&](const char* m, std::int64_t x, std::int32_t s) {
+    return interp.Invoke("Test", m, {Value::OfLong(x), Value::OfInt(s)})
+        .ret.AsLong();
+  };
+  EXPECT_EQ(call("shl", 1, 4), 16);
+  EXPECT_EQ(call("shl", 1, 68), 16);  // the count is masked to 6 bits
+  EXPECT_EQ(call("shl", INT64_MAX, 1), -2);
+  EXPECT_EQ(call("shr", -16, 2), -4);
+  EXPECT_EQ(call("ushr", -1, 60), 15);
+}
+
+TEST_F(InterpFixture, IntegerArithmeticWrapsLikeJava) {
+  Klass& k = pool_.Define("Test");
+  AddLongBinMethod(k, "ladd", BinOp::kAdd);
+  AddLongBinMethod(k, "lmul", BinOp::kMul);
+  {
+    // static int iadd(int x, int y) = x + y; static int ineg(int x) = -x
+    Assembler a;
+    a.Load(Type::Int(), 0).Load(Type::Int(), 1).IAdd().Ret(Type::Int());
+    MethodSignature sig;
+    sig.params = {Type::Int(), Type::Int()};
+    sig.ret = Type::Int();
+    k.AddMethod(MakeMethod("iadd", sig, true, 2, a.Finish()));
+    Assembler n;
+    n.Load(Type::Int(), 0).Neg(Type::Int()).Ret(Type::Int());
+    sig.params = {Type::Int()};
+    k.AddMethod(MakeMethod("ineg", sig, true, 1, n.Finish()));
+    // static int l2i(long x) = (int) x
+    Assembler c;
+    c.Load(Type::Long(), 0).Convert(Type::Long(), Type::Int());
+    c.Ret(Type::Int());
+    sig.params = {Type::Long()};
+    k.AddMethod(MakeMethod("l2i", sig, true, 2, c.Finish()));
+  }
+  Interpreter interp(pool_, heap_);
+  auto lcall = [&](const char* m, std::int64_t x, std::int64_t y) {
+    return interp.Invoke("Test", m, {Value::OfLong(x), Value::OfLong(y)})
+        .ret.AsLong();
+  };
+  EXPECT_EQ(lcall("ladd", INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(lcall("lmul", INT64_MAX, 3), INT64_MAX - 2);
+  EXPECT_EQ(interp
+                .Invoke("Test", "iadd",
+                        {Value::OfInt(INT32_MAX), Value::OfInt(1)})
+                .ret.AsInt(),
+            INT32_MIN);
+  EXPECT_EQ(
+      interp.Invoke("Test", "ineg", {Value::OfInt(INT32_MIN)}).ret.AsInt(),
+      INT32_MIN);
+  // l2i keeps the low 32 bits (not a round trip through double).
+  EXPECT_EQ(interp
+                .Invoke("Test", "l2i",
+                        {Value::OfLong((std::int64_t{1} << 40) + 7)})
+                .ret.AsInt(),
+            7);
+}
+
 TEST_F(InterpFixture, ArraysAndBoundsChecks) {
   Klass& k = pool_.Define("Test");
   Assembler a;

@@ -10,6 +10,7 @@
 #include "kir/kernel.h"
 #include "kir/printer.h"
 #include "support/rng.h"
+#include "testlib/reference_eval.h"
 
 namespace s2fa::kir {
 namespace {
@@ -389,6 +390,202 @@ TEST(EvalTest, SlotAndReferenceWalkersCountSameSteps) {
   ref.Run({{"N", Value::OfInt(16)}}, b2);
   EXPECT_GT(fast.last_steps(), 0u);
   EXPECT_EQ(fast.last_steps(), ref.last_steps());
+}
+
+// ----------------------------------------------------- static value kinds
+
+// Runs `k` through both evaluators and returns the typed evaluator's
+// buffers after checking the reference walker agrees on every element.
+BufferMap RunBothAgreeing(const Kernel& k, BufferMap inputs = {},
+                          const std::map<std::string, Value>& scalars = {}) {
+  BufferMap fast = inputs;
+  BufferMap ref = inputs;
+  Evaluator ev(k);
+  ev.Run(scalars, fast);
+  ReferenceEvaluator rev(k);
+  rev.Run(scalars, ref);
+  EXPECT_EQ(ev.last_steps(), rev.last_steps());
+  EXPECT_EQ(fast.size(), ref.size());
+  for (const auto& [name, data] : fast) {
+    EXPECT_EQ(data, ref[name]) << "buffer " << name;
+  }
+  return fast;
+}
+
+TEST(EvalTest, LongDivisionOverflowFollowsJava) {
+  // Long.MIN_VALUE / -1 == MIN_VALUE and % -1 == 0 (native division
+  // traps); the int forms narrow the same way.
+  Kernel k;
+  k.name = "minover";
+  k.buffers.push_back({"out", Type::Long(), 2, BufferKind::kOutput, ""});
+  k.buffers.push_back({"iout", Type::Int(), 2, BufferKind::kOutput, ""});
+  auto lmin = Expr::IntLit(INT64_MIN, Type::Long());
+  auto lneg1 = Expr::IntLit(-1, Type::Long());
+  auto imin = Expr::IntLit(INT32_MIN);
+  auto ineg1 = Expr::IntLit(-1);
+  auto at = [](const char* buf, Type t, std::int64_t i) {
+    return Expr::ArrayRef(buf, t, Expr::IntLit(i));
+  };
+  k.body = Stmt::Block(
+      {Stmt::Assign(at("out", Type::Long(), 0),
+                    Expr::Binary(BinaryOp::kDiv, lmin, lneg1)),
+       Stmt::Assign(at("out", Type::Long(), 1),
+                    Expr::Binary(BinaryOp::kRem, lmin, lneg1)),
+       Stmt::Assign(at("iout", Type::Int(), 0),
+                    Expr::Binary(BinaryOp::kDiv, imin, ineg1)),
+       Stmt::Assign(at("iout", Type::Int(), 1),
+                    Expr::Binary(BinaryOp::kRem, imin, ineg1))});
+  BufferMap out = RunBothAgreeing(k);
+  EXPECT_EQ(out["out"][0].AsLong(), INT64_MIN);
+  EXPECT_EQ(out["out"][1].AsLong(), 0);
+  EXPECT_EQ(out["iout"][0].AsInt(), INT32_MIN);
+  EXPECT_EQ(out["iout"][1].AsInt(), 0);
+}
+
+TEST(EvalTest, IntegerArithmeticWrapsLikeJava) {
+  Kernel k;
+  k.name = "wrap";
+  k.buffers.push_back({"out", Type::Long(), 4, BufferKind::kOutput, ""});
+  k.buffers.push_back({"iout", Type::Int(), 2, BufferKind::kOutput, ""});
+  auto lmax = Expr::IntLit(INT64_MAX, Type::Long());
+  auto lmin = Expr::IntLit(INT64_MIN, Type::Long());
+  auto at = [](const char* buf, Type t, std::int64_t i) {
+    return Expr::ArrayRef(buf, t, Expr::IntLit(i));
+  };
+  k.body = Stmt::Block(
+      {Stmt::Assign(at("out", Type::Long(), 0),
+                    Expr::Binary(BinaryOp::kAdd, lmax,
+                                 Expr::IntLit(1, Type::Long()))),
+       Stmt::Assign(at("out", Type::Long(), 1),
+                    Expr::Binary(BinaryOp::kMul, lmax,
+                                 Expr::IntLit(3, Type::Long()))),
+       Stmt::Assign(at("out", Type::Long(), 2),
+                    Expr::Unary(UnaryOp::kNeg, lmin)),
+       Stmt::Assign(at("out", Type::Long(), 3),
+                    Expr::Binary(BinaryOp::kShl, lmax, Expr::IntLit(65))),
+       Stmt::Assign(at("iout", Type::Int(), 0),
+                    Expr::Binary(BinaryOp::kAdd, Expr::IntLit(INT32_MAX),
+                                 Expr::IntLit(1))),
+       Stmt::Assign(at("iout", Type::Int(), 1),
+                    Expr::Unary(UnaryOp::kNeg, Expr::IntLit(INT32_MIN)))});
+  BufferMap out = RunBothAgreeing(k);
+  EXPECT_EQ(out["out"][0].AsLong(), INT64_MIN);
+  EXPECT_EQ(out["out"][1].AsLong(), INT64_MAX - 2);  // 3 * MAX mod 2^64
+  EXPECT_EQ(out["out"][2].AsLong(), INT64_MIN);
+  EXPECT_EQ(out["out"][3].AsLong(), -2);  // shift count 65 & 63 == 1
+  EXPECT_EQ(out["iout"][0].AsInt(), INT32_MIN);
+  EXPECT_EQ(out["iout"][1].AsInt(), INT32_MIN);
+}
+
+// Builds `decl x: int = 1; x = <rhs>` with the store typed `store`.
+Kernel MakeRedefinedVarKernel(Type store, ExprPtr rhs) {
+  Kernel k;
+  k.name = "redef";
+  k.buffers.push_back({"out", Type::Int(), 1, BufferKind::kOutput, ""});
+  k.body = Stmt::Block(
+      {Stmt::Decl("x", Type::Int(), Expr::IntLit(1)),
+       Stmt::Assign(Expr::Var("x", store), std::move(rhs)),
+       Stmt::Assign(Expr::ArrayRef("out", Type::Int(), Expr::IntLit(0)),
+                    Expr::IntLit(0))});
+  return k;
+}
+
+TEST(EvalTest, VariableWithTwoKindsIsRejected) {
+  Kernel k = MakeRedefinedVarKernel(Type::Float(), Expr::FloatLit(2.0f));
+  try {
+    Evaluator ev(k);
+    FAIL() << "mixed-kind variable accepted";
+  } catch (const MalformedInput& e) {
+    EXPECT_STREQ(e.what(),
+                 "kernel redef: variable x is defined as both int and float");
+  }
+  // The int-family widths share one kind: a short store into an int
+  // variable is fine (and narrows).
+  Kernel ok = MakeRedefinedVarKernel(Type::Short(), Expr::IntLit(70000));
+  EXPECT_NO_THROW(Evaluator{ok});
+  // So is a scalar parameter redefined at its own kind, but not at another.
+  Kernel scalar = MakeRedefinedVarKernel(Type::Long(),
+                                         Expr::IntLit(5, Type::Long()));
+  scalar.body->stmts().erase(scalar.body->stmts().begin());
+  scalar.scalars.push_back({"x", Type::Int()});
+  EXPECT_THROW(Evaluator{scalar}, MalformedInput);
+}
+
+TEST(EvalTest, BufferStoredAtAnotherKindIsRejected) {
+  Kernel k;
+  k.name = "badstore";
+  k.buffers.push_back({"out", Type::Float(), 1, BufferKind::kOutput, ""});
+  k.body = Stmt::Block({Stmt::Assign(
+      Expr::ArrayRef("out", Type::Double(), Expr::IntLit(0)),
+      Expr::FloatLit(1.0, Type::Double()))});
+  try {
+    Evaluator ev(k);
+    FAIL() << "mixed-kind buffer accepted";
+  } catch (const MalformedInput& e) {
+    EXPECT_STREQ(e.what(),
+                 "kernel badstore: buffer out holds float but is stored as "
+                 "double");
+  }
+}
+
+TEST(EvalTest, RunRejectsValuesOfTheWrongKind) {
+  Kernel k = MakeScaleKernel();
+  Evaluator ev(k);
+  BufferMap buffers;
+  buffers["in"].assign(16, Value::OfFloat(1.0f));
+  try {
+    ev.Run({{"N", Value::OfLong(16)}}, buffers);
+    FAIL() << "long scalar accepted for an int parameter";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "scalar argument N is long, declared int");
+  }
+  buffers["in"][3] = Value::OfDouble(1.0);
+  try {
+    ev.Run({{"N", Value::OfInt(16)}}, buffers);
+    FAIL() << "double element accepted in a float buffer";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "buffer in element 3 is double, declared float");
+  }
+  // A caller-provided output buffer is checked too.
+  buffers["in"][3] = Value::OfFloat(1.0f);
+  buffers["out"].assign(16, Value::OfInt(0));
+  EXPECT_THROW(ev.Run({{"N", Value::OfInt(16)}}, buffers), InvalidArgument);
+}
+
+TEST(EvalTest, MixedKindSelectArmsConvertLikeTheReference) {
+  // A select whose arms have different kinds takes its consumer's view,
+  // so a long arm stays exact under a cast back to long.
+  const std::int64_t big = (std::int64_t{1} << 60) + 1;
+  Kernel k;
+  k.name = "mixsel";
+  k.buffers.push_back({"out", Type::Long(), 2, BufferKind::kOutput, ""});
+  k.body = Stmt::Block({});
+  for (std::int64_t i = 0; i < 2; ++i) {
+    auto sel = Expr::Select(Expr::IntLit(1 - i),
+                            Expr::IntLit(big, Type::Long()),
+                            Expr::FloatLit(2.5, Type::Double()));
+    k.body->stmts().push_back(Stmt::Assign(
+        Expr::ArrayRef("out", Type::Long(), Expr::IntLit(i)),
+        Expr::Cast(Type::Long(), sel)));
+  }
+  BufferMap out = RunBothAgreeing(k);
+  EXPECT_EQ(out["out"][0].AsLong(), big);
+  EXPECT_EQ(out["out"][1].AsLong(), 2);
+}
+
+TEST(EvalTest, OneProgramBacksManyEvaluators) {
+  auto program = std::make_shared<const Program>(MakeScaleKernel());
+  Evaluator a(program);
+  Evaluator b(program);
+  BufferMap ba, bb;
+  ba["in"].assign(16, Value::OfFloat(1.0f));
+  bb["in"].assign(16, Value::OfFloat(3.0f));
+  a.Run({{"N", Value::OfInt(16)}}, ba);
+  b.Run({{"N", Value::OfInt(16)}}, bb);
+  EXPECT_EQ(ba["out"][5].AsFloat(), 3.0f);
+  EXPECT_EQ(bb["out"][5].AsFloat(), 7.0f);
+  EXPECT_EQ(a.last_steps(), b.last_steps());
+  EXPECT_EQ(program->LiveRows(5), 16);
 }
 
 // ------------------------------------------------------------ live tasks
