@@ -171,15 +171,6 @@ WaveResult RunWave(blaze::BlazeCluster& cluster, std::size_t count,
   return result;
 }
 
-double Quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank =
-      std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
-
 // FNV-1a over the canonical outcome stream: bit-identity without holding
 // megabytes of rendered text.
 struct CanonHash {
@@ -282,8 +273,8 @@ int main() {
       latencies.insert(latencies.end(), r.latencies_us.begin(),
                        r.latencies_us.end());
     }
-    clean_p50 = Quantile(latencies, 0.5);
-    clean_p99 = Quantile(latencies, 0.99);
+    clean_p50 = obs::NearestRankQuantile(latencies, 0.5);
+    clean_p99 = obs::NearestRankQuantile(latencies, 0.99);
     std::printf("clean baseline: %zu reqs, p50 %.0f / p99 %.0f us, "
                 "%zu mismatches\n",
                 base_reqs, clean_p50, clean_p99, mismatches);
@@ -338,7 +329,7 @@ int main() {
     const blaze::ClusterStats& s = cluster.stats();
     const std::size_t lost =
         s.submitted - s.completed - s.rejected_full - s.tenant_throttled;
-    const double chaos_p99 = Quantile(latencies, 0.99);
+    const double chaos_p99 = obs::NearestRankQuantile(latencies, 0.99);
     chaos_ok = lost == 0 && mismatches == 0;
     // Dead means dead; revived means traffic comes back.
     rebalance_ok = shard0_while_dead == 0 && shard0_after_restart > 0 &&
@@ -352,7 +343,8 @@ int main() {
                 s.failovers, s.redirects, s.bisect_attempts,
                 s.poison_isolated, shard0_before_kill, shard0_while_dead,
                 shard0_after_restart);
-    ledger_entry("cluster.chaos.request", Quantile(latencies, 0.5) * 1e3,
+    ledger_entry("cluster.chaos.request",
+                 obs::NearestRankQuantile(latencies, 0.5) * 1e3,
                  static_cast<double>(chaos_reqs));
   }
 
@@ -397,7 +389,7 @@ int main() {
     const blaze::TenantStats& noisy = s.tenants.at("noisy");
     const std::size_t lost =
         s.submitted - s.completed - s.rejected_full - s.tenant_throttled;
-    const double payer_p99 = Quantile(payer_latencies, 0.99);
+    const double payer_p99 = obs::NearestRankQuantile(payer_latencies, 0.99);
     flood_ok = lost == 0 && mismatches == 0 && payer.throttled == 0 &&
                payer.rejected_full == 0 && noisy.throttled > 0 &&
                s.flood_injected == flood_extra;
@@ -408,7 +400,7 @@ int main() {
                 flood_reqs, s.flood_injected, lost, mismatches, payer_p99,
                 noisy.throttled, noisy.submitted);
     ledger_entry("cluster.flood.payer.request",
-                 Quantile(payer_latencies, 0.5) * 1e3,
+                 obs::NearestRankQuantile(payer_latencies, 0.5) * 1e3,
                  static_cast<double>(flood_reqs));
   }
 
@@ -506,8 +498,8 @@ int main() {
         run_policy(blaze::Routing::kHealth, lost_health, mism_health);
     std::vector<double> depth_lat =
         run_policy(blaze::Routing::kDepth, lost_depth, mism_depth);
-    routing_p99_health = Quantile(health_lat, 0.99);
-    routing_p99_depth = Quantile(depth_lat, 0.99);
+    routing_p99_health = obs::NearestRankQuantile(health_lat, 0.99);
+    routing_p99_depth = obs::NearestRankQuantile(depth_lat, 0.99);
     routing_ok = lost_health == 0 && lost_depth == 0 && mism_health == 0 &&
                  mism_depth == 0;
     routing_tail_ok = routing_p99_depth < routing_p99_health;
@@ -517,7 +509,7 @@ int main() {
                 routing_episodes, routing_p99_health, routing_p99_depth,
                 lost_health, lost_depth, mism_health, mism_depth);
     ledger_entry("cluster.routing.depth.request",
-                 Quantile(depth_lat, 0.5) * 1e3,
+                 obs::NearestRankQuantile(depth_lat, 0.5) * 1e3,
                  static_cast<double>(routing_episodes * 25));
   }
 

@@ -3,7 +3,7 @@
 // `BlazeService` with an injected accelerator fault burst and gates the
 // robustness contract via the exit code:
 //
-//   1. zero requests lost — every admitted request completes, on an
+//   1. zero requests lost — every submitted request completes, on an
 //      accelerator replica or on the host path, and every completed output
 //      matches the native reference;
 //   2. the health state machine engages — the fault burst quarantines
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "blaze/chaos.h"
 #include "blaze/service.h"
 #include "merlin/transform.h"
 #include "obs/obs.h"
@@ -77,7 +78,7 @@ struct Replay {
   blaze::ServiceStats stats;
   std::vector<blaze::RequestOutcome> outcomes;
   std::string canon;
-  std::size_t lost = 0;        // admitted but never completed or shed
+  std::size_t lost = 0;        // submitted but never completed
   std::size_t mismatches = 0;  // completed outputs vs native reference
   bool all_recovered = false;  // no replica still quarantined at the end
 };
@@ -96,7 +97,6 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   blaze::ServiceOptions options;
   options.hedge_quantile = hedge_quantile;
   options.exec_threads = exec_threads;
-  options.queue_capacity = 64;  // admit the whole replay
   options.probe_backoff_us = req_us;
   options.probe_backoff_max_us = 8 * req_us;
   // Classification seed picked so the burst manifests both failure modes
@@ -109,7 +109,8 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   // ending near invocation 5 on each replica, the burst-phase dispatches
   // fail until the quarantine trips, and the first probe past the window
   // re-enlists.
-  service.SetFaultInjector(blaze::MakeBurstFaultInjector({4, 3}));
+  service.SetFaultInjector(
+      blaze::MakeShardBurstInjector(blaze::ParseChaosPlan("burst 4:3"), 0));
 
   Rng rng(2018);
   blaze::Dataset broadcast;
@@ -149,15 +150,9 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   replay.outcomes = service.Run(std::move(requests));
   replay.stats = service.stats();
   replay.canon = Canon(replay.outcomes);
-  replay.lost = replay.stats.admitted -
-                (replay.stats.completed + replay.stats.shed_expired);
+  replay.lost = replay.stats.submitted - replay.stats.completed;
   for (std::size_t i = 0; i < replay.outcomes.size(); ++i) {
-    const blaze::RequestOutcome& o = replay.outcomes[i];
-    if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-        o.outcome == blaze::ServeOutcome::kShedExpired) {
-      continue;
-    }
-    if (!Matches(o.output, expected[i])) ++replay.mismatches;
+    if (!Matches(replay.outcomes[i].output, expected[i])) ++replay.mismatches;
   }
   replay.all_recovered = true;
   for (const std::string& id : ids) {
@@ -171,9 +166,9 @@ Replay Run(const apps::App& app, const Artifact& artifact,
 void Print(const char* label, const Replay& r) {
   const blaze::ServiceStats& s = r.stats;
   std::printf(
-      "%-10s admitted %zu/%zu, completed %zu (accel %zu, host %zu, hedged "
-      "%zu), lost %zu, mismatches %zu\n",
-      label, s.admitted, s.submitted, s.completed, s.completed_accel,
+      "%-10s completed %zu/%zu (accel %zu, host %zu, hedged %zu), lost %zu, "
+      "mismatches %zu\n",
+      label, s.completed, s.submitted, s.completed_accel,
       s.completed_host, s.completed_hedge, r.lost, r.mismatches);
   std::printf(
       "           p50/p95/p99 %.0f/%.0f/%.0f us; failures %zu (%zu crash, "
@@ -243,10 +238,6 @@ int main() {
     std::size_t completed = 0;
     for (std::size_t i = phase.first; i < phase.first + phase.count; ++i) {
       const blaze::RequestOutcome& o = hedged.outcomes[i];
-      if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-          o.outcome == blaze::ServeOutcome::kShedExpired) {
-        continue;
-      }
       S2FA_OBSERVE("serving." + std::string(phase.name) + ".latency_us",
                    o.latency_us);
       sum_us += o.latency_us;

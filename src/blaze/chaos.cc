@@ -1,126 +1,16 @@
 #include "blaze/chaos.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <map>
 
+#include "blaze/statement.h"
 #include "resilience/fault.h"
 #include "support/error.h"
 
 namespace s2fa::blaze {
 
 namespace {
-
-// Cursor parser over one whitespace-stripped statement. Every helper
-// throws MalformedInput with the offending statement attached, so a typo
-// in a schedule fails the whole plan load instead of silently injecting a
-// different fault mix.
-class StmtParser {
- public:
-  explicit StmtParser(std::string stmt) : stmt_(std::move(stmt)) {}
-
-  bool ConsumePrefix(std::string_view prefix) {
-    if (stmt_.compare(pos_, prefix.size(), prefix) != 0) return false;
-    pos_ += prefix.size();
-    return true;
-  }
-
-  void Expect(char c) {
-    if (pos_ >= stmt_.size() || stmt_[pos_] != c) {
-      Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < stmt_.size() && stmt_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() const { return pos_ >= stmt_.size(); }
-
-  void ExpectEnd() {
-    if (!AtEnd()) Fail("trailing junk");
-  }
-
-  std::size_t ParseIndex() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() && std::isdigit(Char(pos_))) ++pos_;
-    std::size_t value = 0;
-    const char* first = stmt_.data() + begin;
-    const char* last = stmt_.data() + pos_;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last || begin == pos_) {
-      Fail("expected a non-negative integer");
-    }
-    return value;
-  }
-
-  double ParseNumber() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isdigit(Char(pos_)) || stmt_[pos_] == '.' ||
-            stmt_[pos_] == 'e' || stmt_[pos_] == 'E' ||
-            ((stmt_[pos_] == '+' || stmt_[pos_] == '-') && pos_ > begin &&
-             (stmt_[pos_ - 1] == 'e' || stmt_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a number");
-    const std::string digits = stmt_.substr(begin, pos_ - begin);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(digits, &used);
-      if (used != digits.size()) Fail("bad number '" + digits + "'");
-      return value;
-    } catch (const std::exception&) {
-      Fail("bad number '" + digits + "'");
-    }
-    return 0;  // unreachable
-  }
-
-  // NUMBER ['us' | 'ms' | 's'] -> microseconds.
-  double ParseTimeUs() {
-    double value = ParseNumber();
-    if (ConsumePrefix("us")) {
-      // microseconds: the default
-    } else if (ConsumePrefix("ms")) {
-      value *= 1e3;
-    } else if (Consume('s')) {
-      value *= 1e6;
-    }
-    if (value < 0 || !std::isfinite(value)) Fail("time must be >= 0");
-    return value;
-  }
-
-  // Tenant / identifier: [A-Za-z0-9_-]+ not starting a reserved char.
-  std::string ParseName() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isalnum(Char(pos_)) || stmt_[pos_] == '_' ||
-            stmt_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a name");
-    return stmt_.substr(begin, pos_ - begin);
-  }
-
-  [[noreturn]] void Fail(const std::string& why) const {
-    throw MalformedInput("chaos plan: " + why + " in '" + stmt_ + "'");
-  }
-
- private:
-  unsigned char Char(std::size_t i) const {
-    return static_cast<unsigned char>(stmt_[i]);
-  }
-
-  std::string stmt_;
-  std::size_t pos_ = 0;
-};
 
 // Kill/restart schedules per shard must alternate kill, restart, kill, ...
 // in strictly increasing time order or "dead at t" is ambiguous.
@@ -157,7 +47,7 @@ void ValidateLifecycle(const ChaosPlan& plan) {
 void ValidateBursts(const ChaosPlan& plan) {
   // Per-target overlap: an unscoped burst applies to every shard, so it
   // conflicts with any scoped window it overlaps too.
-  auto overlaps = [](const FaultBurst& a, const FaultBurst& b) {
+  auto overlaps = [](const ChaosBurst& a, const ChaosBurst& b) {
     return a.start < b.start + b.length && b.start < a.start + a.length;
   };
   for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
@@ -166,12 +56,12 @@ void ValidateBursts(const ChaosPlan& plan) {
       const ChaosBurst& b = plan.bursts[j];
       const bool same_target =
           !a.shard || !b.shard || *a.shard == *b.shard;
-      if (same_target && overlaps(a.window, b.window)) {
+      if (same_target && overlaps(a, b)) {
         throw MalformedInput(
-            "chaos plan: fault bursts [" + std::to_string(a.window.start) +
-            ":" + std::to_string(a.window.length) + ") and [" +
-            std::to_string(b.window.start) + ":" +
-            std::to_string(b.window.length) +
+            "chaos plan: fault bursts [" + std::to_string(a.start) +
+            ":" + std::to_string(a.length) + ") and [" +
+            std::to_string(b.start) + ":" +
+            std::to_string(b.length) +
             ") overlap on the same target");
       }
     }
@@ -200,7 +90,7 @@ void ValidateSpikes(const ChaosPlan& plan) {
 }
 
 void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
-  StmtParser p(stmt);
+  StmtParser p(stmt, "chaos plan");
   // Longest verb first: "poison-rate" shares the "poison" prefix.
   if (p.ConsumePrefix("poison-rate")) {
     const double rate = p.ParseNumber();
@@ -232,10 +122,10 @@ void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
     plan.restarts.push_back(restart);
   } else if (p.ConsumePrefix("burst")) {
     ChaosBurst burst;
-    burst.window.start = p.ParseIndex();
+    burst.start = p.ParseIndex();
     p.Expect(':');
-    burst.window.length = p.ParseIndex();
-    if (burst.window.length == 0) p.Fail("burst length must be >= 1");
+    burst.length = p.ParseIndex();
+    if (burst.length == 0) p.Fail("burst length must be >= 1");
     if (p.Consume('@')) burst.shard = p.ParseIndex();
     p.ExpectEnd();
     plan.bursts.push_back(burst);
@@ -273,21 +163,9 @@ void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
 
 ChaosPlan ParseChaosPlan(const std::string& text) {
   ChaosPlan plan;
-  std::string stmt;
-  auto flush = [&plan, &stmt] {
-    if (!stmt.empty()) {
-      ParseDirective(stmt, plan);
-      stmt.clear();
-    }
-  };
-  for (char c : text) {
-    if (c == ';' || c == '\n') {
-      flush();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      stmt.push_back(c);
-    }
+  for (const std::string& stmt : SplitStatements(text)) {
+    ParseDirective(stmt, plan);
   }
-  flush();
 
   std::sort(plan.poison_ids.begin(), plan.poison_ids.end());
   ValidateChaosPlan(plan);
@@ -307,7 +185,7 @@ void ValidateChaosPlan(const ChaosPlan& plan) {
     throw MalformedInput("chaos plan: poison rate must be in [0, 1]");
   }
   for (const ChaosBurst& burst : plan.bursts) {
-    if (burst.window.length == 0) {
+    if (burst.length == 0) {
       throw MalformedInput("chaos plan: burst length must be >= 1");
     }
   }
@@ -343,13 +221,19 @@ double SpikeFactorAt(const ChaosPlan& plan, double t_us) {
 
 AccelFaultInjector MakeShardBurstInjector(const ChaosPlan& plan,
                                           std::size_t shard) {
-  std::vector<FaultBurst> windows;
+  std::vector<ChaosBurst> windows;
   for (const ChaosBurst& burst : plan.bursts) {
-    if (!burst.shard || *burst.shard == shard) {
-      windows.push_back(burst.window);
-    }
+    if (!burst.shard || *burst.shard == shard) windows.push_back(burst);
   }
-  return MakeBurstFaultInjector(std::move(windows));
+  if (windows.empty()) return nullptr;
+  return [windows = std::move(windows)](const std::string&,
+                                        std::size_t invocation, int) {
+    return std::any_of(windows.begin(), windows.end(),
+                       [invocation](const ChaosBurst& burst) {
+                         return invocation >= burst.start &&
+                                invocation < burst.start + burst.length;
+                       });
+  };
 }
 
 }  // namespace s2fa::blaze

@@ -1,8 +1,8 @@
 // Deterministic chaos harness for the sharded serving layer (BlazeCluster).
 //
 // A ChaosPlan is a scripted fault schedule on the shared simulated clock:
-// whole-shard kills and restarts, per-replica fault bursts (reusing the
-// service's invocation-window injector), interconnect latency spikes, tenant
+// whole-shard kills and restarts, per-replica fault bursts (installed as the
+// shard services' fault injectors), interconnect latency spikes, tenant
 // floods, and poison requests that crash any batch containing them. The plan
 // is parsed fail-fast from a tiny text grammar so the CLI, benches, and
 // tests can all drive the same schedules:
@@ -47,10 +47,12 @@ struct ChaosRestart {
   double at_us = 0;
 };
 
-// A replica-invocation fault window, optionally scoped to one shard
-// (nullopt = every shard). Drives MakeBurstFaultInjector.
+// A replica-invocation fault window: every accelerator attempt whose
+// per-replica invocation counter falls in [start, start + length) fails.
+// Optionally scoped to one shard (nullopt = every shard).
 struct ChaosBurst {
-  FaultBurst window;
+  std::size_t start = 0;
+  std::size_t length = 0;
   std::optional<std::size_t> shard;
 };
 
@@ -111,7 +113,9 @@ bool IsPoisoned(const ChaosPlan& plan, std::size_t request_id);
 double SpikeFactorAt(const ChaosPlan& plan, double t_us);
 
 // The fault-burst injector scoped to `shard` (its own windows plus the
-// unscoped ones); nullptr when none apply.
+// unscoped ones); nullptr when none apply. This is serving's only fault
+// grammar: tests and benches that drive a BlazeService directly install
+// MakeShardBurstInjector(ParseChaosPlan("burst 4:3"), 0).
 AccelFaultInjector MakeShardBurstInjector(const ChaosPlan& plan,
                                           std::size_t shard);
 

@@ -1,7 +1,6 @@
 #include "blaze/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
 
@@ -17,14 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoShard = ClusterRequestOutcome::kNoShard;
-
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
 
 }  // namespace
 
@@ -56,12 +47,12 @@ const char* RoutingName(Routing routing) {
 
 double TenantStats::LatencyQuantile(double q) const {
   S2FA_REQUIRE(q >= 0 && q <= 1.0, "quantile must be in [0, 1]");
-  return QuantileNearestRank(latencies_us, q);
+  return obs::NearestRankQuantile(latencies_us, q);
 }
 
 double ClusterStats::LatencyQuantile(double q) const {
   S2FA_REQUIRE(q >= 0 && q <= 1.0, "quantile must be in [0, 1]");
-  return QuantileNearestRank(latencies_us, q);
+  return obs::NearestRankQuantile(latencies_us, q);
 }
 
 // -------------------------------------------------------- drain structures
@@ -76,7 +67,6 @@ struct BlazeCluster::Slot {
   ClusterRequest request;
   std::size_t id = 0;
   double arrival_us = 0;
-  double enqueue_us = 0;
   bool synthetic = false;  // chaos-flood request: served, not returned
   bool poisoned = false;
   int redirects = 0;
@@ -114,7 +104,6 @@ struct BlazeCluster::Event {
     kHedgeStart,
     kHedgeDone,
     kShardFree,
-    kBatchTimer,
   } kind = kArrival;
   std::size_t index = 0;
 };
@@ -139,8 +128,6 @@ std::unique_ptr<BlazeService> BlazeCluster::MakeService(
   so.exec_threads = options_.exec_threads;
   // Distinct failure-classification streams per fault domain.
   so.seed = options_.shard_options.seed + 0x9E37 * (shard + 1);
-  so.queue_capacity =
-      std::max(so.queue_capacity, options_.batch_max_requests);
   auto service = std::make_unique<BlazeService>(runtime_, so);
   for (const auto& [kernel, accel_id] : shards_[shard].replicas) {
     service->AddReplica(kernel, accel_id);
@@ -462,9 +449,7 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
   auto key_of = [&](const Slot& slot) {
     return BatchKey{slot.request.kernel, slot.request.broadcast};
   };
-  std::map<BatchKey, std::size_t> key_count;
   std::size_t queued_total = 0;
-  std::set<double> armed_timers;
 
   for (std::size_t i = 0; i < slots.size(); ++i) {
     push_event(slots[i].arrival_us, Event::kArrival, i);
@@ -486,7 +471,6 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
     if (slot.queued) {  // a hedge won while the request sat in the queue
       slot.queued = false;
       --queued_total;
-      --key_count[key_of(slot)];
       --TenantFor(slot.request.tenant).queued;
     }
     slot.outcome = rec.outcome;
@@ -656,10 +640,18 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       slot.queued = false;
       --best->queued;
       --queued_total;
-      --key_count[key];
       members.push_back(index);
     }
     return members;
+  };
+
+  auto member_inputs = [&](const std::vector<std::size_t>& members) {
+    std::vector<const Dataset*> inputs;
+    inputs.reserve(members.size());
+    for (std::size_t index : members) {
+      inputs.push_back(&slots[index].request.input);
+    }
+    return inputs;
   };
 
   auto host_commit_members = [&](const std::vector<std::size_t>& members,
@@ -797,14 +789,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       std::vector<ServiceRequest> service_requests;
       service_requests.reserve(clean.size());
       for (const CleanNode& node : clean) {
-        std::vector<const Dataset*> inputs;
-        inputs.reserve(node.members.size());
-        for (std::size_t index : node.members) {
-          inputs.push_back(&slots[index].request.input);
-        }
         ServiceRequest srq;
         srq.kernel = key.first;
-        srq.input = ConcatDatasets(inputs);
+        srq.input = ConcatDatasets(member_inputs(node.members));
         srq.broadcast = key.second;
         srq.arrival_us = node.arrival_us;
         service_requests.push_back(std::move(srq));
@@ -845,22 +832,12 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
         } else if (out.outcome == ServeOutcome::kHedgedHost) {
           mapped = ClusterServe::kHedgedHost;
         }
-        std::size_t row = 0;
-        for (std::size_t index : node.members) {
-          Slot& slot = slots[index];
-          if (info.pattern == kir::ParallelPattern::kReduce) {
-            // A reduce collapses its whole batch to one output record;
-            // slicing by the input record count would read past it. Reduce
-            // batches are singletons (form_batch caps them at 1), so the
-            // lone member owns the service output unsliced.
-            S2FA_CHECK(node.members.size() == 1,
-                       "reduce batches must be singletons");
-            slot.output = std::move(out.output);
-          } else {
-            const std::size_t count = slot.request.input.num_records();
-            slot.output = SliceRecords(out.output, row, count);
-            row += count;
-          }
+        std::vector<Dataset> parts = SplitBatchOutput(
+            std::move(out.output), member_inputs(node.members),
+            info.pattern == kir::ParallelPattern::kReduce);
+        for (std::size_t m = 0; m < node.members.size(); ++m) {
+          const std::size_t index = node.members[m];
+          slots[index].output = std::move(parts[m]);
           CommitRec rec;
           rec.slot = index;
           rec.outcome = mapped;
@@ -898,31 +875,6 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       Tenant* tenant = pick_tenant(held);
       if (tenant == nullptr) break;
       const BatchKey key = key_of(slots[tenant->queue.front()]);
-      const KernelInfo& info = KernelFor(key.first);
-      const std::size_t cap =
-          info.pattern == kir::ParallelPattern::kReduce
-              ? 1
-              : options_.batch_max_requests;
-      if (options_.batch_window_us > 0 && key_count[key] < cap) {
-        // Hold a partial batch until its window expires.
-        double oldest = kInf;
-        for (const auto& [name, tn] : tenants_) {
-          for (std::size_t index : tn.queue) {
-            const Slot& slot = slots[index];
-            if (!slot.queued || slot.committed) continue;
-            if (!(key_of(slot) == key)) continue;
-            oldest = std::min(oldest, slot.enqueue_us);
-          }
-        }
-        const double fire_at = oldest + options_.batch_window_us;
-        if (t < fire_at) {
-          if (armed_timers.insert(fire_at).second) {
-            push_event(fire_at, Event::kBatchTimer, 0);
-          }
-          held.insert(key);
-          continue;
-        }
-      }
       const Route route = choose_shard(key.first, t);
       if (route.wait) {
         held.insert(key);
@@ -974,11 +926,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       tenant.pass_us = std::max(tenant.pass_us, stride_vtime_);
     }
     slot.queued = true;
-    slot.enqueue_us = t;
     tenant.queue.push_back(index);
     ++tenant.queued;
     ++queued_total;
-    ++key_count[key_of(slot)];
     stats_.max_queue_depth = std::max(stats_.max_queue_depth, queued_total);
     S2FA_GAUGE_MAX("blaze.cluster.max_queue_depth",
                    static_cast<double>(queued_total));
@@ -1016,11 +966,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
         tenant.pass_us = std::max(tenant.pass_us, stride_vtime_);
       }
       slot.queued = true;
-      slot.enqueue_us = t;
       tenant.queue.push_back(index);
       ++tenant.queued;
       ++queued_total;
-      ++key_count[key_of(slot)];
     }
     try_dispatch_all(t);
   };
@@ -1090,10 +1038,6 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       case Event::kShardFree:
         try_dispatch_all(t);
         break;
-      case Event::kBatchTimer:
-        armed_timers.erase(t);
-        try_dispatch_all(t);
-        break;
     }
   }
 
@@ -1120,13 +1064,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
     }
     auto execute = [&](Slot& slot) {
       S2FA_SPAN("blaze.cluster.host_exec");
-      const KernelInfo& info = kernels_.at(slot.request.kernel);
-      slot.output =
-          info.pattern == kir::ParallelPattern::kReduce
-              ? runtime_.Reduce(info.exec_accel, slot.request.input,
-                                slot.request.broadcast)
-              : runtime_.Map(info.exec_accel, slot.request.input,
-                             slot.request.broadcast);
+      slot.output = runtime_.Execute(ExecAccelFor(slot.request.kernel),
+                                     slot.request.input,
+                                     slot.request.broadcast);
     };
     if (options_.exec_threads == 1) {
       for (std::size_t i : need) execute(slots[i]);

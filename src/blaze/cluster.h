@@ -1,9 +1,12 @@
 // BlazeCluster: fault-domain-aware sharded serving over N BlazeService
 // instances on the shared deterministic simulated clock.
 //
+// The cluster is the one serving front door: it owns admission (the
+// bounded queue and tenant quotas), micro-batching, routing and failover.
 // Each shard is one BlazeService (its own replicas, health state machine,
-// hedging, and fault injector — one fault domain). The cluster layers on
-// top, planning at micro-batch granularity:
+// retry-then-host, hedging, and fault injector — one fault domain) that
+// runs the batches the cluster hands it. The cluster plans at micro-batch
+// granularity:
 //
 //   * failover with exactly-once commit — a scripted kill (ChaosPlan) or a
 //     fully-quarantined shard re-routes in-flight and queued requests to
@@ -13,10 +16,10 @@
 //     retry, or hedge) wins; later ones are suppressed and counted as
 //     commit conflicts, so an outcome is committed exactly once even when
 //     a hedge and a failover race;
-//   * dynamic micro-batching with poison isolation — queued requests with
-//     the same (kernel, broadcast) coalesce into one accelerator
-//     invocation, up to `batch_max_requests` (Reduce kernels never batch
-//     across requests) and an optional `batch_window_us` deadline. A batch
+//   * dynamic micro-batching with poison isolation — at dispatch, queued
+//     requests with the same (kernel, broadcast) coalesce into one
+//     accelerator invocation, up to `batch_max_requests` (Reduce kernels
+//     never batch across requests; the batch format is dataset.h's). A batch
 //     containing a poison request (ChaosPlan) crashes; the cluster bisects
 //     it deterministically — each failing half burns the crash-detect
 //     round trip — until the poison request is alone, degrades only it to
@@ -92,7 +95,6 @@ const char* RoutingName(Routing routing);
 struct ClusterOptions {
   std::size_t queue_capacity = 1024;    // cluster-wide waiting cap
   std::size_t batch_max_requests = 16;  // micro-batch coalescing bound
-  double batch_window_us = 0;   // wait this long to fill a batch; 0 = none
   std::size_t max_redirects = 2;  // failovers per request before host
   double queue_hedge_us = 0;    // host hedge for requests older than this
   Routing routing = Routing::kHealth;  // shard-selection policy

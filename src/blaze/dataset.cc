@@ -88,6 +88,25 @@ Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs) {
   return out;
 }
 
+std::vector<Dataset> SplitBatchOutput(Dataset output,
+                                      const std::vector<const Dataset*>& inputs,
+                                      bool reduce) {
+  S2FA_CHECK(!reduce || inputs.size() == 1,
+             "reduce batches must be singletons");
+  std::vector<Dataset> parts;
+  if (inputs.size() == 1) {
+    parts.push_back(std::move(output));
+    return parts;
+  }
+  parts.reserve(inputs.size());
+  std::size_t row = 0;
+  for (const Dataset* input : inputs) {
+    parts.push_back(SliceRecords(output, row, input->num_records()));
+    row += input->num_records();
+  }
+  return parts;
+}
+
 Dataset SliceRecords(const Dataset& data, std::size_t begin,
                      std::size_t count) {
   Dataset out;

@@ -47,10 +47,21 @@ class Dataset {
   bool has_columns_ = false;
 };
 
-// Concatenates datasets column-wise into one batch. All members must share
-// a schema (the serving layers batch by kernel, so a mismatch is a caller
-// bug worth failing loudly on).
+// The serving batch format, shared by BlazeService, BlazeCluster and
+// StreamSession. A batch's input is its members' inputs concatenated
+// column-wise in member order. All members must share a schema: the
+// serving layers batch by kernel, so a mismatch is a caller bug worth
+// failing loudly on.
 Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs);
+
+// Splits a batch's output back to its members; `inputs` is what was
+// passed to ConcatDatasets. A map output splits by each member's record
+// count. A reduce collapses the whole batch to one record, so a reduce
+// batch must hold exactly one member. A one-member batch takes the output
+// whole, without a copy.
+std::vector<Dataset> SplitBatchOutput(Dataset output,
+                                      const std::vector<const Dataset*>& inputs,
+                                      bool reduce);
 
 // Slices `count` records starting at `begin` out of a batch result.
 Dataset SliceRecords(const Dataset& data, std::size_t begin,

@@ -225,8 +225,15 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
   const ExecutionStats per_invocation = InvocationCost(accel);
   const std::size_t batch = static_cast<std::size_t>(plan.batch);
 
+  // Additive accumulators, one per output column element. Floating
+  // partials fold in double; integral ones in int64_t, wrapping like Java
+  // (unsigned adds: signed overflow would be undefined).
+  struct Partial {
+    double f = 0;
+    std::uint64_t i = 0;
+  };
   Dataset result = MakeOutputShell(plan, 1);
-  std::vector<double> partials;  // additive accumulators, one per column elem
+  std::vector<Partial> partials;
   bool first_invocation = true;
 
   for (std::size_t first = 0; first < input.num_records(); first += batch) {
@@ -234,24 +241,27 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
     kir::BufferMap buffers;
     RunBatch(accel_id, plan, input, broadcast, first, count, per_invocation,
              evaluator, buffers, total);
-    // Combine invocation partials additively on the host.
     std::size_t cursor = 0;
     for (const auto& entry : plan.entries) {
       if (entry.is_input) continue;
       const auto& buf = buffers.at(entry.buffer);
       for (std::size_t e = 0;
            e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-        double value = buf[e].is_double()
-                           ? buf[e].AsDouble()
-                           : buf[e].is_float()
-                                 ? buf[e].AsFloat()
-                                 : buf[e].is_long()
-                                       ? static_cast<double>(buf[e].AsLong())
-                                       : buf[e].AsInt();
-        if (first_invocation) {
-          partials.push_back(value);
+        const jvm::Value& v = buf[e];
+        const double fvalue = v.is_double()  ? v.AsDouble()
+                              : v.is_float() ? v.AsFloat()
+                              : v.is_long()  ? static_cast<double>(v.AsLong())
+                                             : v.AsInt();
+        if (first_invocation) partials.emplace_back();
+        Partial& partial = partials[cursor];
+        if (entry.element.is_floating()) {
+          partial.f = first_invocation ? fvalue : partial.f + fvalue;
         } else {
-          partials[cursor] += value;
+          const std::int64_t ivalue =
+              v.is_long()  ? v.AsLong()
+              : v.is_int() ? v.AsInt()
+                           : jvm::JavaFloatToInt<std::int64_t>(fvalue);
+          partial.i += static_cast<std::uint64_t>(ivalue);
         }
       }
     }
@@ -265,19 +275,19 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
     Column& col = result.MutableColumnByField(entry.source_field);
     for (std::size_t e = 0;
          e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-      double v = cursor < partials.size() ? partials[cursor] : 0.0;
+      const Partial p = cursor < partials.size() ? partials[cursor] : Partial{};
       switch (entry.element.kind()) {
         case jvm::TypeKind::kDouble:
-          col.data[e] = jvm::Value::OfDouble(v);
+          col.data[e] = jvm::Value::OfDouble(p.f);
           break;
         case jvm::TypeKind::kFloat:
-          col.data[e] = jvm::Value::OfFloat(static_cast<float>(v));
+          col.data[e] = jvm::Value::OfFloat(static_cast<float>(p.f));
           break;
         case jvm::TypeKind::kLong:
-          col.data[e] = jvm::Value::OfLong(static_cast<std::int64_t>(v));
+          col.data[e] = jvm::Value::OfLong(static_cast<std::int64_t>(p.i));
           break;
         default:
-          col.data[e] = jvm::Value::OfInt(static_cast<std::int32_t>(v));
+          col.data[e] = jvm::Value::OfInt(static_cast<std::int32_t>(p.i));
           break;
       }
     }
@@ -291,6 +301,14 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
                                        static_cast<double>(total.invocations)));
   if (stats != nullptr) *stats = total;
   return result;
+}
+
+Dataset BlazeRuntime::Execute(const std::string& accel_id,
+                              const Dataset& input,
+                              const Dataset* broadcast) {
+  return manager_.Get(accel_id).design.pattern == kir::ParallelPattern::kReduce
+             ? Reduce(accel_id, input, broadcast)
+             : Map(accel_id, input, broadcast);
 }
 
 }  // namespace s2fa::blaze

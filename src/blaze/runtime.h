@@ -110,10 +110,18 @@ class BlazeRuntime {
 
   // Runs a reduce accelerator: per-invocation partial results are combined
   // additively on the host (the reduce template assumes a zero-identity
-  // additive reduction; see b2c). Returns a single-record dataset.
+  // additive reduction; see b2c). Float and double partials fold in
+  // double; int and long partials fold in int64_t with Java wrap-around.
+  // Returns a single-record dataset.
   Dataset Reduce(const std::string& accel_id, const Dataset& input,
                  const Dataset* broadcast = nullptr,
                  ExecutionStats* stats = nullptr);
+
+  // Runs `input` the way the accelerator's design pattern dictates:
+  // Reduce for reduce kernels, Map otherwise. The serving layers execute
+  // every batch through this one call.
+  Dataset Execute(const std::string& accel_id, const Dataset& input,
+                  const Dataset* broadcast = nullptr);
 
  private:
   ExecutionStats InvocationCost(const RegisteredAccelerator& accel) const;

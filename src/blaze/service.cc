@@ -1,7 +1,6 @@
 #include "blaze/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
 
@@ -15,16 +14,7 @@ namespace s2fa::blaze {
 
 namespace {
 
-constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
-
-// Nearest-rank quantile (the obs histogram convention). q in [0, 1].
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -39,8 +29,6 @@ const char* HealthName(AcceleratorHealth health) {
 
 const char* ServeOutcomeName(ServeOutcome outcome) {
   switch (outcome) {
-    case ServeOutcome::kRejectedFull: return "rejected-full";
-    case ServeOutcome::kShedExpired: return "shed-expired";
     case ServeOutcome::kAccelerator: return "accelerator";
     case ServeOutcome::kHost: return "host";
     case ServeOutcome::kHedgedHost: return "hedged-host";
@@ -50,33 +38,30 @@ const char* ServeOutcomeName(ServeOutcome outcome) {
 
 double ServiceStats::LatencyQuantile(double q) const {
   S2FA_REQUIRE(q >= 0 && q <= 1.0, "quantile must be in [0, 1]");
-  return QuantileNearestRank(latencies_us, q);
+  return obs::NearestRankQuantile(latencies_us, q);
 }
 
 // ------------------------------------------------------- planner structures
 
 struct BlazeService::Pending {
   std::size_t id = 0;
-  std::size_t request_index = 0;  // into the drained backlog
+  std::size_t request_index = 0;  // into the Run's requests
   double arrival_us = 0;
-  double deadline_abs_us = kNoDeadline;
 };
 
 struct BlazeService::Plan {
   std::size_t id = 0;
   std::size_t request_index = 0;
-  ServeOutcome outcome = ServeOutcome::kRejectedFull;
+  ServeOutcome outcome = ServeOutcome::kAccelerator;
   std::string replica;     // replica that served the accelerator path
   std::string exec_accel;  // design used for functional execution
   int attempts = 0;
   bool probe = false;
   bool hedged = false;
-  bool deadline_missed = false;
   double dispatch_us = 0;
   double complete_us = 0;
   double latency_us = 0;
   double charged_us = 0;
-  bool needs_exec = false;
   Dataset output;  // filled by the execution phase
 };
 
@@ -95,7 +80,6 @@ struct BlazeService::HealthEvent {
 
 BlazeService::BlazeService(BlazeRuntime& runtime, ServiceOptions options)
     : runtime_(runtime), options_(options) {
-  S2FA_REQUIRE(options_.queue_capacity > 0, "queue capacity must be >= 1");
   S2FA_REQUIRE(options_.hedge_quantile >= 0 && options_.hedge_quantile <= 1.0,
                "hedge quantile must be in [0, 1]");
   S2FA_REQUIRE(options_.health_window >= 2,
@@ -157,7 +141,7 @@ ReplicaHealthCounts BlazeService::CountHealth(const std::string& kernel,
   S2FA_REQUIRE(it != kernels_.end(),
                "no replicas enlisted for kernel " << kernel);
   ReplicaHealthCounts counts;
-  counts.next_probe_us = kNoDeadline;
+  counts.next_probe_us = kInf;
   for (std::size_t index : it->second.replicas) {
     const Replica& replica = replicas_[index];
     switch (replica.health) {
@@ -183,20 +167,8 @@ std::optional<double> BlazeService::HedgeDelayUs(
   if (it == kernels_.end() || options_.hedge_quantile <= 0) return std::nullopt;
   const auto& window = it->second.latency_window_us;
   if (window.size() < options_.hedge_min_samples) return std::nullopt;
-  return QuantileNearestRank({window.begin(), window.end()},
-                             options_.hedge_quantile);
-}
-
-void BlazeService::Submit(ServiceRequest request) {
-  S2FA_REQUIRE(kernels_.count(request.kernel) != 0,
-               "no replicas enlisted for kernel " << request.kernel);
-  backlog_.push_back(std::move(request));
-}
-
-std::vector<RequestOutcome> BlazeService::Run(
-    std::vector<ServiceRequest> requests) {
-  for (auto& request : requests) Submit(std::move(request));
-  return Drain();
+  return obs::NearestRankQuantile({window.begin(), window.end()},
+                                  options_.hedge_quantile);
 }
 
 // ------------------------------------------------------ failure taxonomy
@@ -364,11 +336,11 @@ BlazeService::ReplicaChoice BlazeService::SelectReplica(
   return choice;
 }
 
-void BlazeService::PlanDispatch(Pending& request, Plan& plan,
+void BlazeService::PlanDispatch(const ServiceRequest& rq,
+                                const Pending& pending, Plan& plan,
                                 std::size_t replica_index, double t,
                                 bool probe, KernelGroup& group) {
   Replica& replica = replicas_[replica_index];
-  const ServiceRequest& rq = backlog_[request.request_index];
   const RegisteredAccelerator& accel =
       runtime_.manager().Get(replica.accel_id);
   const auto batch = static_cast<std::size_t>(accel.plan.batch);
@@ -447,15 +419,15 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   double complete = primary_complete;
   ServeOutcome outcome = primary_outcome;
   double charged = primary_charge;
-  double cancel_after = kNoDeadline;  // drop planned samples past this time
+  double cancel_after = kInf;  // drop planned samples past this time
   const auto armed = [&]() -> std::optional<double> {
     if (options_.hedge_quantile <= 0 || probe) return std::nullopt;
     if (group.latency_window_us.size() < options_.hedge_min_samples) {
       return std::nullopt;
     }
-    return scale * QuantileNearestRank({group.latency_window_us.begin(),
-                                        group.latency_window_us.end()},
-                                       options_.hedge_quantile);
+    return scale * obs::NearestRankQuantile({group.latency_window_us.begin(),
+                                             group.latency_window_us.end()},
+                                            options_.hedge_quantile);
   }();
   if (armed && primary_complete - t > *armed) {
     plan.hedged = true;
@@ -524,13 +496,12 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   plan.outcome = outcome;
   plan.attempts = attempts_started;
   plan.complete_us = complete;
-  plan.latency_us = complete - request.arrival_us;
+  plan.latency_us = complete - pending.arrival_us;
   plan.charged_us = charged;
-  plan.deadline_missed = complete > request.deadline_abs_us;
-  plan.needs_exec = true;
 }
 
-void BlazeService::PlanAll(std::vector<Pending>& pending,
+void BlazeService::PlanAll(const std::vector<ServiceRequest>& requests,
+                           std::vector<Pending>& pending,
                            std::vector<Plan>& plans) {
   struct SimEvent {
     enum Kind { kArrival, kLaneFree, kProbeTimer } kind = kArrival;
@@ -543,7 +514,7 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
   for (std::size_t i = 0; i < pending.size(); ++i) {
     push_event(pending[i].arrival_us, SimEvent::kArrival, i);
   }
-  std::vector<std::size_t> waiting;  // admitted pending indices, FIFO
+  std::vector<std::size_t> waiting;  // pending indices, FIFO
 
   // Dispatches every waiting request that can start at `t`. Skip-scans the
   // FIFO so one kernel's busy replicas never block another kernel's queue.
@@ -557,24 +528,15 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
       }
       probe_timers_pending_.clear();
       for (std::size_t w = 0; w < waiting.size(); ++w) {
-        Pending& request = pending[waiting[w]];
+        const Pending& request = pending[waiting[w]];
         Plan& plan = plans[waiting[w]];
-        if (request.deadline_abs_us < t) {
-          plan.outcome = ServeOutcome::kShedExpired;
-          plan.complete_us = t;
-          ++stats_.shed_expired;
-          S2FA_COUNT("blaze.svc.shed_expired", 1);
-          waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(w));
-          progress = true;
-          break;
-        }
-        KernelGroup& group = kernels_[backlog_[request.request_index].kernel];
+        const ServiceRequest& rq = requests[request.request_index];
+        KernelGroup& group = kernels_[rq.kernel];
         const ReplicaChoice choice = SelectReplica(group, t);
         if (!choice.found && choice.any_live_lane) continue;  // wait
         if (!choice.found) {
           // Whole group quarantined with no probe ready: host-direct.
           const Replica& basis = replicas_[group.replicas.front()];
-          const ServiceRequest& rq = backlog_[request.request_index];
           const auto batch = static_cast<std::size_t>(
               runtime_.manager().Get(basis.accel_id).plan.batch);
           const std::size_t invocations = std::max<std::size_t>(
@@ -587,10 +549,9 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
                       basis.host_us_per_invocation;
           plan.latency_us = plan.complete_us - request.arrival_us;
           plan.charged_us = plan.complete_us - t;
-          plan.deadline_missed = plan.complete_us > request.deadline_abs_us;
-          plan.needs_exec = true;
         } else {
-          PlanDispatch(request, plan, choice.replica, t, choice.probe, group);
+          PlanDispatch(rq, request, plan, choice.replica, t, choice.probe,
+                       group);
           push_event(replicas_[choice.replica].free_us, SimEvent::kLaneFree,
                      choice.replica);
         }
@@ -609,57 +570,38 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
     if (event.kind == SimEvent::kArrival) {
       ApplyHealthEventsUpTo(t);
       try_dispatch(t);
-      Pending& request = pending[event.index];
-      if (waiting.size() >= options_.queue_capacity) {
-        plans[event.index].outcome = ServeOutcome::kRejectedFull;
-        ++stats_.rejected_full;
-        S2FA_COUNT("blaze.svc.rejected_full", 1);
-      } else {
-        ++stats_.admitted;
-        S2FA_COUNT("blaze.svc.admitted", 1);
-        waiting.push_back(event.index);
-        stats_.max_queue_depth =
-            std::max(stats_.max_queue_depth, waiting.size());
-        S2FA_GAUGE_MAX("blaze.svc.max_queue_depth",
-                       static_cast<double>(waiting.size()));
-        try_dispatch(request.arrival_us);
-      }
-    } else {
-      try_dispatch(t);
+      waiting.push_back(event.index);
     }
+    try_dispatch(t);
   }
-  ApplyHealthEventsUpTo(kNoDeadline);  // absorb trailing samples
-  for (auto [probe_at, replica] : probe_timers_pending_) {
-    (void)probe_at;
-    (void)replica;  // no traffic left to probe with; timers expire inertly
-  }
+  ApplyHealthEventsUpTo(kInf);  // absorb trailing samples
+  // No traffic is left to probe with: pending probe timers expire inertly.
   probe_timers_pending_.clear();
-  S2FA_CHECK(waiting.empty(), "drain left requests in the queue");
+  S2FA_CHECK(waiting.empty(), "run left requests in the queue");
   // Host-direct and host-fallback completions emit no lane event, so the
-  // event loop alone can leave the clock before the last completion; the
-  // drain contract stops the clock only once every admitted request is done.
+  // event loop alone can leave the clock before the last completion; Run
+  // stops the clock only once every request is done.
   for (const Plan& plan : plans) {
     clock_us_ = std::max(clock_us_, plan.complete_us);
   }
 }
 
-// ----------------------------------------------------------------- drain
+// ------------------------------------------------------------------- run
 
-std::vector<RequestOutcome> BlazeService::Drain() {
+std::vector<RequestOutcome> BlazeService::Run(
+    std::vector<ServiceRequest> requests) {
   S2FA_SPAN("blaze.svc.drain");
-  std::vector<Pending> pending(backlog_.size());
-  std::vector<Plan> plans(backlog_.size());
-  for (std::size_t i = 0; i < backlog_.size(); ++i) {
+  for (const ServiceRequest& request : requests) {
+    S2FA_REQUIRE(kernels_.count(request.kernel) != 0,
+                 "no replicas enlisted for kernel " << request.kernel);
+  }
+  std::vector<Pending> pending(requests.size());
+  std::vector<Plan> plans(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     pending[i].id = next_id_++;
     pending[i].request_index = i;
-    pending[i].arrival_us = std::max(backlog_[i].arrival_us, clock_us_);
-    double deadline = backlog_[i].deadline_us > 0
-                          ? backlog_[i].deadline_us
-                          : options_.default_deadline_us;
-    pending[i].deadline_abs_us =
-        deadline > 0 ? pending[i].arrival_us + deadline : kNoDeadline;
+    pending[i].arrival_us = std::max(requests[i].arrival_us, clock_us_);
     ++stats_.submitted;
-    S2FA_COUNT("blaze.svc.submitted", 1);
   }
   std::stable_sort(pending.begin(), pending.end(),
                    [](const Pending& a, const Pending& b) {
@@ -673,32 +615,25 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     plans[i].request_index = pending[i].request_index;
   }
 
-  PlanAll(pending, plans);
+  PlanAll(requests, pending, plans);
 
   // Functional execution: embarrassingly parallel, one slot per request,
-  // committed in submission order below (plan-order commit). A lone
-  // worker drains the pool FIFO, so exec_threads == 1 can skip the pool —
-  // same order, no thread spawn per drain (BlazeCluster drains per batch).
+  // committed in request order below (plan-order commit). A lone worker
+  // drains the pool FIFO, so exec_threads == 1 can skip the pool — same
+  // order, no thread spawn per Run (BlazeCluster runs one per batch).
   {
-    auto execute = [this](Plan& plan) {
+    auto execute = [this, &requests](Plan& plan) {
       S2FA_SPAN("blaze.svc.request");
-      const ServiceRequest& rq = backlog_[plan.request_index];
-      const RegisteredAccelerator& accel =
-          runtime_.manager().Get(plan.exec_accel);
-      plan.output =
-          accel.design.pattern == kir::ParallelPattern::kReduce
-              ? runtime_.Reduce(plan.exec_accel, rq.input, rq.broadcast)
-              : runtime_.Map(plan.exec_accel, rq.input, rq.broadcast);
+      const ServiceRequest& rq = requests[plan.request_index];
+      plan.output = runtime_.Execute(plan.exec_accel, rq.input, rq.broadcast);
     };
     if (options_.exec_threads == 1) {
-      for (Plan& plan : plans) {
-        if (plan.needs_exec) execute(plan);
-      }
+      for (Plan& plan : plans) execute(plan);
     } else {
       ThreadPool pool(static_cast<std::size_t>(options_.exec_threads));
       std::vector<std::future<void>> done;
+      done.reserve(plans.size());
       for (Plan& plan : plans) {
-        if (!plan.needs_exec) continue;
         done.push_back(pool.Submit([&execute, &plan] { execute(plan); }));
       }
       for (auto& future : done) future.get();  // surface kernel exceptions
@@ -714,7 +649,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     outcome.attempts = plan.attempts;
     outcome.probe = plan.probe;
     outcome.hedged = plan.hedged;
-    outcome.deadline_missed = plan.deadline_missed;
     outcome.dispatch_us = plan.dispatch_us;
     outcome.complete_us = plan.complete_us;
     outcome.latency_us = plan.latency_us;
@@ -724,19 +658,13 @@ std::vector<RequestOutcome> BlazeService::Drain() {
       case ServeOutcome::kAccelerator: ++stats_.completed_accel; break;
       case ServeOutcome::kHost: ++stats_.completed_host; break;
       case ServeOutcome::kHedgedHost: ++stats_.completed_hedge; break;
-      default: continue;  // shed: no completion bookkeeping
     }
     ++stats_.completed;
-    if (plan.deadline_missed) {
-      ++stats_.deadline_misses;
-      S2FA_COUNT("blaze.svc.deadline_misses", 1);
-    }
     stats_.latencies_us.push_back(plan.latency_us);
     S2FA_COUNT("blaze.svc.completed", 1);
     S2FA_OBSERVE("blaze.svc.latency_us", plan.latency_us);
     S2FA_OBSERVE("blaze.svc.charged_us", plan.charged_us);
   }
-  backlog_.clear();
   for (const auto& [kernel, group] : kernels_) {
     if (auto delay = HedgeDelayUs(kernel)) {
       S2FA_GAUGE("blaze.svc.hedge_delay_us", *delay);
@@ -744,28 +672,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     (void)group;
   }
   return outcomes;
-}
-
-// ------------------------------------------------------------ fault bursts
-
-AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst) {
-  return MakeBurstFaultInjector(std::vector<FaultBurst>{burst});
-}
-
-AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts) {
-  bursts.erase(std::remove_if(bursts.begin(), bursts.end(),
-                              [](const FaultBurst& b) { return b.length == 0; }),
-               bursts.end());
-  if (bursts.empty()) return nullptr;
-  return [bursts = std::move(bursts)](const std::string&,
-                                      std::size_t invocation, int) {
-    for (const FaultBurst& burst : bursts) {
-      if (invocation >= burst.start && invocation < burst.start + burst.length) {
-        return true;
-      }
-    }
-    return false;
-  };
 }
 
 }  // namespace s2fa::blaze

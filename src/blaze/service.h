@@ -1,15 +1,14 @@
-// BlazeService: the serving front-end over BlazeRuntime (paper §2 — the
-// accelerator as a shared datacenter service behind Blaze).
+// BlazeService: one shard of the serving layer over BlazeRuntime (paper
+// §2 — the accelerator as a shared datacenter service behind Blaze).
 //
-// Where BlazeRuntime executes one request at a time with a fixed
-// retry-once-then-host policy, the service serves *streams* of requests
-// against a deterministic simulated clock and adds everything a shared
-// deployment needs between "works" and "falls over":
+// BlazeCluster is the one serving front door: it owns admission, tenancy,
+// micro-batching and failover, and hands each shard a batch of requests
+// to run. The service decides only what a shard must:
 //
-//   * a bounded admission queue with deadline-aware load shedding —
-//     arrivals beyond the queue capacity are rejected, queued requests
-//     whose deadline expires before dispatch are dropped, and both land in
-//     a shed ledger (`ServiceStats`) instead of vanishing;
+//   * replica selection: several accelerators may be registered for one
+//     kernel id; dispatch prefers free healthy replicas, spills to
+//     degraded ones, then probes quarantine, and only then falls back to
+//     the host path — which always succeeds, so no request is ever lost;
 //   * a per-replica health state machine (healthy → degraded →
 //     quarantined) driven by a rolling failure-rate / latency window.
 //     Failures reuse the resilience taxonomy: an injected fault manifests
@@ -18,25 +17,20 @@
 //     Quarantined replicas take no traffic until a probe request —
 //     dispatched after an exponentially backed-off eligibility delay —
 //     succeeds and re-enlists them;
+//   * retry-then-host: a regular dispatch retries a failed accelerator
+//     attempt once, then finishes on the host path;
 //   * hedged dispatch: once enough completions seed the rolling latency
 //     window, a request whose accelerator path outlives the
 //     `hedge_quantile` latency starts a host-path hedge at that delay and
-//     takes whichever finishes first, cancelling the loser's charge;
-//   * replica selection: several accelerators may be registered for one
-//     kernel id; dispatch prefers free healthy replicas, spills to
-//     degraded ones, then probes quarantine, and only then falls back to
-//     the host path — which always succeeds, so no admitted request is
-//     ever lost;
-//   * graceful drain: Drain() stops the clock only after every admitted
-//     request has completed and returns the per-request outcomes.
+//     takes whichever finishes first, cancelling the loser's charge.
 //
-// Determinism: the service plans every admission, dispatch, failure,
-// hedge, and health transition sequentially on the simulated clock (all
-// costs come from the offload cost model and the stateless fault
-// injector). Only the functional kernel execution fans out on a thread
-// pool, and outcomes are committed in submission order — so results are
-// bit-identical across `exec_threads` values, exactly like the DSE
-// scheduler's plan-order commit.
+// Determinism: the service plans every dispatch, failure, hedge, and
+// health transition sequentially on the simulated clock (all costs come
+// from the offload cost model and the stateless fault injector). Only the
+// functional kernel execution fans out on a thread pool, and outcomes are
+// committed in request order — so results are bit-identical across
+// `exec_threads` values, exactly like the DSE scheduler's plan-order
+// commit.
 #pragma once
 
 #include <cstddef>
@@ -75,10 +69,8 @@ struct ReplicaHealthCounts {
   std::size_t live() const { return healthy + degraded; }
 };
 
-// How one submitted request ended.
+// How one request ended.
 enum class ServeOutcome {
-  kRejectedFull,   // shed at admission: queue was full
-  kShedExpired,    // shed in the queue: deadline passed before dispatch
   kAccelerator,    // completed on an accelerator replica
   kHost,           // completed on the host path (direct or after failures)
   kHedgedHost,     // completed on a host hedge that beat the accelerator
@@ -86,9 +78,6 @@ enum class ServeOutcome {
 const char* ServeOutcomeName(ServeOutcome outcome);
 
 struct ServiceOptions {
-  std::size_t queue_capacity = 64;  // bounded admission queue (waiting)
-  double default_deadline_us = 0;   // per-request deadline; 0 = none
-
   // Hedging. A hedge arms once `hedge_min_samples` accelerator completions
   // seed the per-kernel rolling latency window; the hedge delay is that
   // window's `hedge_quantile` latency. 0 disables hedging.
@@ -121,38 +110,32 @@ struct ServiceOptions {
 struct ServiceRequest {
   std::string kernel;  // replica-group id (see BlazeService::AddReplica)
   Dataset input;
-  // One-record shared data; must outlive the drain that serves the request.
+  // One-record shared data; must outlive the Run that serves the request.
   const Dataset* broadcast = nullptr;
   double arrival_us = 0;  // simulated arrival (clamped to the service clock)
-  double deadline_us = 0; // relative to arrival; 0 = options default
 };
 
 struct RequestOutcome {
-  std::size_t id = 0;  // submission order
-  ServeOutcome outcome = ServeOutcome::kRejectedFull;
+  std::size_t id = 0;  // request order, across Runs
+  ServeOutcome outcome = ServeOutcome::kAccelerator;
   std::string replica;      // accelerator that served it ("" = none)
   int attempts = 0;         // accelerator attempts planned
   bool probe = false;       // served as a quarantine probe
   bool hedged = false;      // a hedge was launched
-  bool deadline_missed = false;  // completed after its deadline
   double dispatch_us = 0;   // simulated dispatch time
   double complete_us = 0;   // simulated completion time
-  double latency_us = 0;    // complete - arrival (0 for shed requests)
+  double latency_us = 0;    // complete - arrival
   double charged_us = 0;    // billed work time (losers' charges cancelled)
-  Dataset output;           // empty for shed requests
+  Dataset output;
 };
 
-// The shed ledger plus everything else the serving layer counts.
+// Everything a shard counts.
 struct ServiceStats {
   std::size_t submitted = 0;
-  std::size_t admitted = 0;
-  std::size_t rejected_full = 0;   // shed at admission
-  std::size_t shed_expired = 0;    // shed from the queue
   std::size_t completed = 0;
   std::size_t completed_accel = 0;
   std::size_t completed_host = 0;      // host fallback or host-direct
   std::size_t completed_hedge = 0;     // host hedge beat the accelerator
-  std::size_t deadline_misses = 0;     // completed, but late
 
   std::size_t accel_attempts = 0;
   std::size_t accel_failures = 0;
@@ -173,11 +156,10 @@ struct ServiceStats {
   std::size_t quarantines = 0;     // -> quarantined transitions
   std::size_t reenlistments = 0;   // quarantined -> degraded via probe
 
-  std::size_t max_queue_depth = 0;
-  std::vector<double> latencies_us;  // completed requests, submission order
+  std::vector<double> latencies_us;  // completed requests, arrival order
 
-  // Nearest-rank quantile over the completed-request latencies (obs-style);
-  // 0 when nothing completed. q in [0, 1].
+  // Nearest-rank quantile over the completed-request latencies
+  // (obs::NearestRankQuantile); 0 when nothing completed. q in [0, 1].
   double LatencyQuantile(double q) const;
 };
 
@@ -201,16 +183,10 @@ class BlazeService {
   // per-replica dispatch counter; `attempt` is 0 or 1, as in the runtime.
   void SetFaultInjector(AccelFaultInjector injector);
 
-  // Enqueues a request for the next Drain(). Arrival times before the
-  // current service clock are clamped to it.
-  void Submit(ServiceRequest request);
-
-  // Graceful drain: serves every pending request to completion (nothing is
-  // abandoned), advances the clock, and returns outcomes in submission
-  // order. The service stays usable; stats and health carry over.
-  std::vector<RequestOutcome> Drain();
-
-  // Submit all + Drain, as one call.
+  // Serves every request to completion (nothing is abandoned), advances
+  // the clock, and returns outcomes in request order. Arrival times before
+  // the current service clock are clamped to it. The service stays usable
+  // across Runs; stats and health carry over.
   std::vector<RequestOutcome> Run(std::vector<ServiceRequest> requests);
 
   const ServiceStats& stats() const { return stats_; }
@@ -245,7 +221,7 @@ class BlazeService {
     std::deque<double> latency_window_us;  // successful accel completions
   };
 
-  // One queued (admitted) request while planning.
+  // One waiting request while planning.
   struct Pending;
   // The fully planned fate of one request.
   struct Plan;
@@ -270,10 +246,12 @@ class BlazeService {
   ReplicaChoice SelectReplica(const KernelGroup& group, double t) const;
 
   // Deterministic sequential planner (the only place the clock advances).
-  void PlanAll(std::vector<Pending>& pending, std::vector<Plan>& plans);
+  void PlanAll(const std::vector<ServiceRequest>& requests,
+               std::vector<Pending>& pending, std::vector<Plan>& plans);
   // Plans the dispatch of one request starting at `t`; returns its plan.
-  void PlanDispatch(Pending& request, Plan& plan, std::size_t replica_index,
-                    double t, bool probe, KernelGroup& group);
+  void PlanDispatch(const ServiceRequest& request, const Pending& pending,
+                    Plan& plan, std::size_t replica_index, double t,
+                    bool probe, KernelGroup& group);
   // Applies queued health-window samples with time <= t, in time order.
   void ApplyHealthEventsUpTo(double t);
   void ApplyHealthSample(Replica& replica, const HealthEvent& event);
@@ -289,7 +267,6 @@ class BlazeService {
   std::map<std::string, std::size_t> replica_index_;
   AccelFaultInjector injector_;
 
-  std::vector<ServiceRequest> backlog_;  // submitted, not yet drained
   std::size_t next_id_ = 0;
   double clock_us_ = 0;
   ServiceStats stats_;
@@ -299,21 +276,5 @@ class BlazeService {
   // ApplyHealthEventsUpTo, which cannot see the planner's queue directly).
   std::vector<std::pair<double, std::size_t>> probe_timers_pending_;
 };
-
-// ------------------------------------------------------------ fault bursts
-
-// An injected fault burst: every accelerator attempt whose per-replica
-// invocation counter falls in [start, start + length) fails. Serving runs
-// script bursts as chaos-plan `burst START:LEN` statements (blaze/chaos.h);
-// tests and benches may also install these injectors on a service directly.
-struct FaultBurst {
-  std::size_t start = 0;
-  std::size_t length = 0;
-};
-// Null for a zero-length burst (nothing to inject).
-AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst);
-// Fails an attempt that falls in any of the windows; zero-length windows
-// are dropped, and null when none remain.
-AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts);
 
 }  // namespace s2fa::blaze

@@ -1,12 +1,11 @@
 #include "blaze/stream.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <limits>
 
 #include "blaze/event_queue.h"
+#include "blaze/statement.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -17,114 +16,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
-
-// Cursor parser over one whitespace-stripped statement, the chaos-plan
-// idiom: every helper throws MalformedInput with the offending statement
-// attached.
-class StmtParser {
- public:
-  explicit StmtParser(std::string stmt) : stmt_(std::move(stmt)) {}
-
-  bool ConsumePrefix(std::string_view prefix) {
-    if (stmt_.compare(pos_, prefix.size(), prefix) != 0) return false;
-    pos_ += prefix.size();
-    return true;
-  }
-
-  void Expect(char c) {
-    if (pos_ >= stmt_.size() || stmt_[pos_] != c) {
-      Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  void ExpectEnd() {
-    if (pos_ < stmt_.size()) Fail("trailing junk");
-  }
-
-  std::size_t ParseIndex() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() && std::isdigit(Char(pos_))) ++pos_;
-    std::size_t value = 0;
-    const char* first = stmt_.data() + begin;
-    const char* last = stmt_.data() + pos_;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last || begin == pos_) {
-      Fail("expected a non-negative integer");
-    }
-    return value;
-  }
-
-  double ParseNumber() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isdigit(Char(pos_)) || stmt_[pos_] == '.' ||
-            stmt_[pos_] == 'e' || stmt_[pos_] == 'E' ||
-            ((stmt_[pos_] == '+' || stmt_[pos_] == '-') && pos_ > begin &&
-             (stmt_[pos_ - 1] == 'e' || stmt_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a number");
-    const std::string digits = stmt_.substr(begin, pos_ - begin);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(digits, &used);
-      if (used != digits.size()) Fail("bad number '" + digits + "'");
-      return value;
-    } catch (const std::exception&) {
-      Fail("bad number '" + digits + "'");
-    }
-    return 0;  // unreachable
-  }
-
-  // NUMBER ['us' | 'ms' | 's'] -> microseconds.
-  double ParseTimeUs() {
-    double value = ParseNumber();
-    if (ConsumePrefix("us")) {
-      // microseconds: the default
-    } else if (ConsumePrefix("ms")) {
-      value *= 1e3;
-    } else if (pos_ < stmt_.size() && stmt_[pos_] == 's') {
-      ++pos_;
-      value *= 1e6;
-    }
-    if (value < 0 || !std::isfinite(value)) Fail("time must be >= 0");
-    return value;
-  }
-
-  std::string ParseName() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isalnum(Char(pos_)) || stmt_[pos_] == '_' ||
-            stmt_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a name");
-    return stmt_.substr(begin, pos_ - begin);
-  }
-
-  [[noreturn]] void Fail(const std::string& why) const {
-    throw MalformedInput("arrival schedule: " + why + " in '" + stmt_ + "'");
-  }
-
- private:
-  unsigned char Char(std::size_t i) const {
-    return static_cast<unsigned char>(stmt_[i]);
-  }
-
-  std::string stmt_;
-  std::size_t pos_ = 0;
-};
-
 void ParseArrivalDirective(const std::string& stmt, ArrivalSchedule& out) {
-  StmtParser p(stmt);
+  StmtParser p(stmt, "arrival schedule");
   if (!p.ConsumePrefix("arrive")) p.Fail("unknown directive");
   ArrivalPhase phase;
   phase.tenant = p.ParseName();
@@ -156,21 +49,9 @@ const char* StreamOutcomeName(StreamOutcome outcome) {
 
 ArrivalSchedule ParseArrivalSchedule(const std::string& text) {
   ArrivalSchedule schedule;
-  std::string stmt;
-  auto flush = [&schedule, &stmt] {
-    if (!stmt.empty()) {
-      ParseArrivalDirective(stmt, schedule);
-      stmt.clear();
-    }
-  };
-  for (char c : text) {
-    if (c == ';' || c == '\n') {
-      flush();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      stmt.push_back(c);
-    }
+  for (const std::string& stmt : SplitStatements(text)) {
+    ParseArrivalDirective(stmt, schedule);
   }
-  flush();
   ValidateArrivalSchedule(schedule);
   return schedule;
 }
@@ -197,7 +78,7 @@ void ValidateArrivalSchedule(const ArrivalSchedule& schedule) {
 
 double StreamStats::LatencyQuantile(double q) const {
   S2FA_REQUIRE(q >= 0 && q <= 1.0, "quantile must be in [0, 1]");
-  return QuantileNearestRank(latencies_us, q);
+  return obs::NearestRankQuantile(latencies_us, q);
 }
 
 StreamSession::StreamSession(BlazeCluster& cluster, StreamOptions options)
@@ -364,18 +245,20 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     rec.terminal_us = t;
   };
 
-  auto slice_outputs = [&](const std::vector<std::size_t>& members,
-                           const Dataset& output, bool reduce) {
-    if (reduce) {
-      S2FA_CHECK(members.size() == 1, "reduce batches never coalesce");
-      recs[members.front()].output = output;
-      return;
-    }
-    std::size_t row = 0;
-    for (std::size_t seq : members) {
-      const std::size_t count = recs[seq].content.input.num_records();
-      recs[seq].output = SliceRecords(output, row, count);
-      row += count;
+  auto member_inputs = [&](const std::vector<std::size_t>& members) {
+    std::vector<const Dataset*> inputs;
+    inputs.reserve(members.size());
+    for (std::size_t seq : members) inputs.push_back(&recs[seq].content.input);
+    return inputs;
+  };
+
+  auto split_outputs = [&](const std::vector<std::size_t>& members,
+                           Dataset output, const std::string& kernel) {
+    std::vector<Dataset> parts =
+        SplitBatchOutput(std::move(output), member_inputs(members),
+                         cluster_.IsReduceKernel(kernel));
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      recs[members[m]].output = std::move(parts[m]);
     }
   };
 
@@ -383,21 +266,13 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // real through the runtime, completing after the host-path charge. Host
   // work does not occupy modeled accelerator lanes.
   auto host_route = [&](const Key& key, Batch& batch, double t) {
-    std::vector<const Dataset*> inputs;
-    inputs.reserve(batch.members.size());
-    for (std::size_t seq : batch.members) {
-      inputs.push_back(&recs[seq].content.input);
-    }
-    const Dataset input = ConcatDatasets(inputs);
-    const bool reduce = cluster_.IsReduceKernel(key.first);
-    const std::string& accel = cluster_.ExecAccelFor(key.first);
-    const Dataset out =
-        reduce ? cluster_.runtime().Reduce(accel, input, key.second)
-               : cluster_.runtime().Map(accel, input, key.second);
+    Dataset out = cluster_.runtime().Execute(
+        cluster_.ExecAccelFor(key.first),
+        ConcatDatasets(member_inputs(batch.members)), key.second);
     const double done = std::max(host_finish_us, t) +
                         cluster_.HostUsFor(key.first, batch.records);
     host_finish_us = done;
-    slice_outputs(batch.members, out, reduce);
+    split_outputs(batch.members, std::move(out), key.first);
     for (std::size_t seq : batch.members) {
       terminal(seq, StreamOutcome::kCommittedHost, done);
     }
@@ -410,14 +285,9 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
         cluster_.AccelUsFor(key.first, batch.records) /
         static_cast<double>(lanes_at(t));
     accel_finish_us = std::max(accel_finish_us, t) + cost;
-    std::vector<const Dataset*> inputs;
-    inputs.reserve(batch.members.size());
-    for (std::size_t seq : batch.members) {
-      inputs.push_back(&recs[seq].content.input);
-    }
     ClusterRequest request;
     request.kernel = key.first;
-    request.input = ConcatDatasets(inputs);
+    request.input = ConcatDatasets(member_inputs(batch.members));
     request.broadcast = key.second;
     request.arrival_us = t;
     request.tenant = options_.cluster_tenant;
@@ -607,12 +477,12 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     cluster_.Submit(std::move(request));
   }
   requests.clear();
-  const std::vector<ClusterRequestOutcome> outs = cluster_.Drain();
+  std::vector<ClusterRequestOutcome> outs = cluster_.Drain();
   S2FA_CHECK(outs.size() == pending.size(),
              "cluster drain returned " << outs.size() << " outcomes for "
                                        << pending.size() << " batches");
   for (std::size_t b = 0; b < pending.size(); ++b) {
-    const ClusterRequestOutcome& out = outs[b];
+    ClusterRequestOutcome& out = outs[b];
     const std::vector<std::size_t>& members = pending[b].members;
     if (out.outcome == ClusterServe::kRejectedFull ||
         out.outcome == ClusterServe::kTenantThrottled) {
@@ -626,9 +496,8 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       }
       continue;
     }
-    const bool reduce = cluster_.IsReduceKernel(recs[members.front()]
-                                                    .content.kernel);
-    slice_outputs(members, out.output, reduce);
+    split_outputs(members, std::move(out.output),
+                  recs[members.front()].content.kernel);
     for (std::size_t seq : members) {
       terminal(seq, StreamOutcome::kCommitted, out.complete_us);
     }

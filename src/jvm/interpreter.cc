@@ -432,13 +432,15 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
               throw MalformedInput("convert from " + insn.type.ToString());
           }
         };
+        // Integral targets saturate (f2i/d2i/f2l/d2l; byte, char and
+        // short narrow the d2i result).
         double d = as_double();
         switch (insn.type2.kind()) {
           case TypeKind::kInt:
-            stack.push_back(Value::OfInt(static_cast<std::int32_t>(d)));
+            stack.push_back(Value::OfInt(JavaFloatToInt<std::int32_t>(d)));
             break;
           case TypeKind::kLong:
-            stack.push_back(Value::OfLong(static_cast<std::int64_t>(d)));
+            stack.push_back(Value::OfLong(JavaFloatToInt<std::int64_t>(d)));
             break;
           case TypeKind::kFloat:
             stack.push_back(Value::OfFloat(static_cast<float>(d)));
@@ -448,15 +450,15 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             break;
           case TypeKind::kByte:
             stack.push_back(Value::OfInt(static_cast<std::int8_t>(
-                static_cast<std::int32_t>(d))));
+                JavaFloatToInt<std::int32_t>(d))));
             break;
           case TypeKind::kChar:
             stack.push_back(Value::OfInt(static_cast<std::uint16_t>(
-                static_cast<std::int32_t>(d))));
+                JavaFloatToInt<std::int32_t>(d))));
             break;
           case TypeKind::kShort:
             stack.push_back(Value::OfInt(static_cast<std::int16_t>(
-                static_cast<std::int32_t>(d))));
+                JavaFloatToInt<std::int32_t>(d))));
             break;
           default:
             throw MalformedInput("convert to " + insn.type2.ToString());

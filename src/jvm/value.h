@@ -124,4 +124,23 @@ T JavaFMax(T x, T y) {
   return x > y ? x : y;
 }
 
+// Java's floating-point to integral conversion (JLS 5.1.3; f2i, d2i, f2l,
+// d2l): NaN becomes 0, values beyond the range of I clamp to its MIN/MAX,
+// and everything else truncates toward zero. A float argument widens to
+// double exactly. Byte, short and char conversions go through the int
+// form first (d2i, then i2b/i2s/i2c). Shared by the bytecode interpreter,
+// the KIR evaluator and the test reference evaluator so all three stay
+// bit-identical; a bare static_cast is undefined out of range.
+template <typename I>
+I JavaFloatToInt(double d) {
+  if (std::isnan(d)) return 0;
+  if (d <= static_cast<double>(std::numeric_limits<I>::min())) {
+    return std::numeric_limits<I>::min();
+  }
+  if (d >= static_cast<double>(std::numeric_limits<I>::max())) {
+    return std::numeric_limits<I>::max();
+  }
+  return static_cast<I>(d);
+}
+
 }  // namespace s2fa::jvm

@@ -124,11 +124,12 @@ Word Load(VKind k, const Value& v) {
 
 // Reads a word as the int64 / float / double the old dynamic walker's
 // ToInt64 / (float)ToDouble / ToDouble produced from a Value of view V.
+// Float views convert to int64 like Java's f2l/d2l (saturating).
 template <View V>
 std::int64_t AsI64(Word w) {
   if constexpr (V == View::kI64) return w.i;
-  if constexpr (V == View::kF32) return static_cast<std::int64_t>(w.f);
-  if constexpr (V == View::kF64) return static_cast<std::int64_t>(w.d);
+  if constexpr (V == View::kF32) return jvm::JavaFloatToInt<std::int64_t>(w.f);
+  if constexpr (V == View::kF64) return jvm::JavaFloatToInt<std::int64_t>(w.d);
 }
 
 template <View V>
@@ -170,6 +171,8 @@ Word Put(double v) { return F64(v); }
 
 // Conversion to a store/cast type: the word of view V narrowed to TK, as
 // C's implicit conversion of the generated code (and Java's i2b/i2c/i2s).
+// A float view converts to int like Java's f2i/d2i (saturating) before
+// byte/char/short narrow it, and to long like f2l/d2l.
 template <TypeKind TK, View V>
 Word Narrow(Word w) {
   if constexpr (TK == TypeKind::kFloat) {
@@ -177,7 +180,13 @@ Word Narrow(Word w) {
   } else if constexpr (TK == TypeKind::kDouble) {
     return F64(AsF64<V>(w));
   } else {
-    const std::int64_t x = AsI64<V>(w);
+    std::int64_t x;
+    if constexpr (V == View::kI64 || TK == TypeKind::kLong ||
+                  TK == TypeKind::kBoolean) {
+      x = AsI64<V>(w);
+    } else {
+      x = jvm::JavaFloatToInt<std::int32_t>(AsF64<V>(w));
+    }
     if constexpr (TK == TypeKind::kBoolean) return I64(x != 0 ? 1 : 0);
     if constexpr (TK == TypeKind::kByte) {
       return I64(static_cast<std::int8_t>(x));
@@ -635,10 +644,10 @@ Word ECall(const ENode& n, Frame& f) {
     const double r = IntrinsicOp<Fn>(x, y);
     if constexpr (R == TypeKind::kDouble) return F64(r);
     if constexpr (R == TypeKind::kLong) {
-      return I64(static_cast<std::int64_t>(r));
+      return I64(jvm::JavaFloatToInt<std::int64_t>(r));
     }
     if constexpr (R == TypeKind::kInt) {
-      return I64(static_cast<std::int32_t>(r));
+      return I64(jvm::JavaFloatToInt<std::int32_t>(r));
     }
   }
 }

@@ -116,18 +116,14 @@ void Registry::Observe(const std::string& name, double sample) {
   }
 }
 
-namespace {
-
-double NearestRank(const std::vector<double>& sorted, double quantile) {
-  if (sorted.empty()) return 0;
-  const double rank =
-      std::ceil(quantile * static_cast<double>(sorted.size()));
+double NearestRankQuantile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = std::ceil(q * static_cast<double>(samples.size()));
   const std::size_t index = static_cast<std::size_t>(
-      std::clamp(rank - 1, 0.0, static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
+      std::clamp(rank - 1, 0.0, static_cast<double>(samples.size() - 1)));
+  return samples[index];
 }
-
-}  // namespace
 
 MetricsSnapshot Registry::Snapshot() const {
   MetricsSnapshot snapshot;
@@ -153,12 +149,9 @@ MetricsSnapshot Registry::Snapshot() const {
     }
     // Percentiles come from the (possibly sampled) reservoir; count, min,
     // max, and mean above are exact regardless of the cap.
-    std::sort(samples.begin(), samples.end());
-    if (!samples.empty()) {
-      stats.p50 = NearestRank(samples, 0.50);
-      stats.p95 = NearestRank(samples, 0.95);
-      stats.p99 = NearestRank(samples, 0.99);
-    }
+    stats.p50 = NearestRankQuantile(samples, 0.50);
+    stats.p95 = NearestRankQuantile(samples, 0.95);
+    stats.p99 = NearestRankQuantile(samples, 0.99);
     snapshot.histograms[name] = stats;
   }
   return snapshot;

@@ -55,6 +55,12 @@ struct HistogramStats {
   double p50 = 0, p95 = 0, p99 = 0;
 };
 
+// Nearest-rank quantile of `samples` (sorted here; any order in): the
+// sample at rank ceil(q * n), clamped to [1, n]; 0 when empty. q in
+// [0, 1]. Histogram percentiles and every serving-layer latency quantile
+// use this one rule, so their p50/p95/p99 agree.
+double NearestRankQuantile(std::vector<double> samples, double q);
+
 struct MetricsSnapshot {
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, double> gauges;

@@ -320,6 +320,62 @@ TEST(RuntimeTest, MapAcrossMultipleBatches) {
   }
 }
 
+// Sum reduce over one integral column: call(acc, x) = acc + x, batch 4,
+// registered as "sum". Each invocation's partial is folded on the host.
+void RegisterSumReduce(BlazeRuntime& runtime, const Type& type) {
+  jvm::ClassPool pool;
+  Assembler a;
+  const int width = type.is_wide() ? 2 : 1;
+  a.Load(type, 0).Load(type, width).Bin(type, jvm::BinOp::kAdd).Ret(type);
+  MethodSignature sig;
+  sig.params = {type, type};
+  sig.ret = type;
+  pool.Define("Sum").AddMethod(
+      jvm::MakeMethod("call", sig, true, 2 * width, a.Finish()));
+  b2c::KernelSpec spec;
+  spec.kernel_name = "sum";
+  spec.klass = "Sum";
+  spec.pattern = kir::ParallelPattern::kReduce;
+  spec.input.type = type;
+  spec.input.fields = {{"x", type, 1, false}};
+  spec.output.type = type;
+  spec.output.fields = {{"ret", type, 1, false}};
+  spec.batch = 4;
+  RegisterWithBlaze(runtime, "sum",
+                    BuildWithConfig(pool, spec, merlin::DesignConfig{}));
+}
+
+TEST(RuntimeTest, ReduceFoldsIntegralPartialsExactlyWithJavaWrap) {
+  // 12 records over 3 invocations. A long sum above 2^53 stays exact (a
+  // fold through double would round the +12 away), and an int sum whose
+  // partials fit but whose total overflows wraps like Java int addition.
+  {
+    BlazeRuntime runtime;
+    RegisterSumReduce(runtime, Type::Long());
+    const std::int64_t v = (std::int64_t{1} << 53) + 1;
+    Dataset input;
+    input.AddColumn({"x", Type::Long(), 1,
+                     std::vector<Value>(12, Value::OfLong(v))});
+    ExecutionStats stats;
+    Dataset out = runtime.Reduce("sum", input, nullptr, &stats);
+    EXPECT_EQ(stats.invocations, 3u);
+    EXPECT_EQ(out.ColumnByField("ret").data[0].AsLong(), 12 * v);
+  }
+  {
+    BlazeRuntime runtime;
+    RegisterSumReduce(runtime, Type::Int());
+    const std::int32_t v = (std::int32_t{1} << 28) + 1;  // 4v fits, 12v wraps
+    Dataset input;
+    input.AddColumn({"x", Type::Int(), 1,
+                     std::vector<Value>(12, Value::OfInt(v))});
+    Dataset out = runtime.Execute("sum", input);
+    const auto wrapped = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(12) * static_cast<std::uint32_t>(v));
+    EXPECT_EQ(wrapped, -1073741812);
+    EXPECT_EQ(out.ColumnByField("ret").data[0].AsInt(), wrapped);
+  }
+}
+
 TEST(RuntimeTest, UnknownAcceleratorThrows) {
   BlazeRuntime runtime;
   Dataset empty;

@@ -268,7 +268,7 @@ TEST(ChaosPlanTest, ValidateMessagesForHandBuiltPlansAreExact) {
   EXPECT_EQ(MalformedMessageOf([&] { ValidateChaosPlan(bad_rate); }),
             "chaos plan: poison rate must be in [0, 1]");
   ChaosPlan zero_burst;
-  zero_burst.bursts.push_back({{4, 0}, std::nullopt});
+  zero_burst.bursts.push_back({4, 0, std::nullopt});
   EXPECT_EQ(MalformedMessageOf([&] { ValidateChaosPlan(zero_burst); }),
             "chaos plan: burst length must be >= 1");
   ChaosPlan zero_flood;
@@ -357,23 +357,6 @@ TEST(ClusterTest, BatchingCoalescesSameKernelRequests) {
   EXPECT_GE(cluster.stats().max_batch, 2u);
   EXPECT_LE(cluster.stats().max_batch, 4u);
   EXPECT_GT(cluster.stats().batched_requests, cluster.stats().batches);
-}
-
-TEST(ClusterTest, BatchWindowHoldsForLateArrivals) {
-  Fixture fx(1);
-  ClusterOptions options;
-  options.batch_max_requests = 2;
-  options.batch_window_us = 200;
-  BlazeCluster cluster = fx.MakeCluster(options, 1, 1);
-  // Second request lands inside the first one's window: one batch of two.
-  auto outcomes = cluster.Run({Req(8, 0, "default", 0),
-                               Req(8, 100, "default", 8)});
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].batch_size, 2u);
-  EXPECT_EQ(outcomes[1].batch_size, 2u);
-  ExpectDoubled(outcomes[0], 8, 0);
-  ExpectDoubled(outcomes[1], 8, 8);
-  EXPECT_EQ(cluster.stats().batches, 1u);
 }
 
 // -------------------------------------------------------------- reduce
@@ -617,7 +600,6 @@ TEST(ClusterTest, PoisonIsolationBisectsToTheCulprit) {
   Fixture fx(1);
   ClusterOptions options;
   options.batch_max_requests = 8;
-  options.batch_window_us = 50;
   BlazeCluster cluster = fx.MakeCluster(options, 1, 1);
   cluster.SetChaosPlan(ParseChaosPlan("poison 3"));
   std::vector<ClusterRequest> requests;

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -479,6 +480,9 @@ void RunDifferential(std::uint64_t seed) {
 // mul/neg, shifts by arbitrary (unmasked) counts, div/rem by divisors kept
 // non-zero (but including -1, so MIN / -1 and MIN % -1 occur), min/max,
 // l2i/i2l and the byte/char/short narrowings, and int and long compares.
+// Its float->int variant mixes in Java's saturating conversions (f2i,
+// d2i, f2l, d2l, and double to byte/char/short) over NaN, infinities,
+// out-of-range constants and scaled ints and longs.
 
 // Local slots of `static long call(IntIn in)`: 0 = in, 1 = int[], 2 =
 // long[], 3 = int field, 4-5 = long field, 6-7 = accumulator, 8 = loop
@@ -503,10 +507,17 @@ std::int64_t RandomLong(Rng& rng) {
 
 class IntExprGen {
  public:
-  IntExprGen(Assembler& a, Rng& rng) : a_(a), rng_(rng) {}
+  IntExprGen(Assembler& a, Rng& rng, bool float_to_int)
+      : a_(a), rng_(rng), float_to_int_(float_to_int) {}
 
   // Leaves one int on the operand stack.
   void EmitInt(int depth) {
+    if (float_to_int_ && depth > 0 && rng_.NextBool(0.3)) {
+      static const Type kTargets[] = {Type::Int(), Type::Int(), Type::Byte(),
+                                      Type::Char(), Type::Short()};
+      EmitFloatToInt(kTargets[rng_.NextIndex(5)], depth - 1);
+      return;
+    }
     switch (rng_.NextInt(0, depth <= 0 ? 3 : 11)) {
       case 0:
         a_.IConst(rng_.NextBool() ? RandomInt(rng_)
@@ -570,6 +581,10 @@ class IntExprGen {
 
   // Leaves one long on the operand stack.
   void EmitLong(int depth) {
+    if (float_to_int_ && depth > 0 && rng_.NextBool(0.3)) {
+      EmitFloatToInt(Type::Long(), depth - 1);
+      return;
+    }
     switch (rng_.NextInt(0, depth <= 0 ? 3 : 9)) {
       case 0:
         a_.LConst(rng_.NextBool() ? RandomLong(rng_)
@@ -626,6 +641,37 @@ class IntExprGen {
   static constexpr jvm::BinOp kShifts[] = {
       jvm::BinOp::kShl, jvm::BinOp::kShr, jvm::BinOp::kUShr};
 
+  // Converts a double (or, half the time, float) operand to `target`: an
+  // edge constant the conversion must saturate or zero, or a scaled int
+  // or long. Scaled values stay inside float range, where d2f is defined.
+  void EmitFloatToInt(const Type& target, int depth) {
+    static constexpr double kEdges[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        3e9, -3e9, 1e19, -1e19, -0.75, 2147483647.5};
+    static constexpr double kScales[] = {1.5, -1e6, 1e12, 1e-3};
+    if (rng_.NextBool()) {
+      a_.DConst(kEdges[rng_.NextIndex(9)]);
+    } else {
+      if (rng_.NextBool()) {
+        EmitInt(depth);
+        a_.Convert(Type::Int(), Type::Double());
+      } else {
+        EmitLong(depth);
+        a_.Convert(Type::Long(), Type::Double());
+      }
+      a_.DConst(kScales[rng_.NextIndex(4)]).Bin(Type::Double(),
+                                                jvm::BinOp::kMul);
+    }
+    Type from = Type::Double();
+    if (rng_.NextBool()) {
+      a_.Convert(Type::Double(), Type::Float());
+      from = Type::Float();
+    }
+    a_.Convert(from, target);
+  }
+
   // A divisor that cannot be zero: -1, another constant, or x | 1.
   void EmitIntDivisor(int depth) {
     static constexpr std::int32_t kDivisors[] = {1, 3, -7, INT32_MIN,
@@ -663,11 +709,12 @@ class IntExprGen {
 
   Assembler& a_;
   Rng& rng_;
+  bool float_to_int_;
 };
 
 // Emits one random statement updating the long accumulator.
-void EmitIntLoopStatement(Assembler& a, Rng& rng) {
-  IntExprGen gen(a, rng);
+void EmitIntLoopStatement(Assembler& a, Rng& rng, bool float_to_int) {
+  IntExprGen gen(a, rng, float_to_int);
   auto add_to_acc = [&](jvm::BinOp op, int depth) {
     a.Load(Type::Long(), kLongAccSlot);
     gen.EmitLong(depth);
@@ -722,7 +769,7 @@ void EmitIntLoopStatement(Assembler& a, Rng& rng) {
   }
 }
 
-FuzzCase GenerateIntKernel(std::uint64_t seed) {
+FuzzCase GenerateIntKernel(std::uint64_t seed, bool float_to_int = false) {
   Rng rng(seed);
   FuzzCase fc;
   fc.pool = std::make_shared<jvm::ClassPool>();
@@ -753,7 +800,9 @@ FuzzCase GenerateIntKernel(std::uint64_t seed) {
     a.Load(Type::Int(), kIntLoopSlot).IConst(kArrayLen)
         .IfICmp(Cond::kGe, exit);
     const int stmts = static_cast<int>(rng.NextInt(1, 3));
-    for (int s = 0; s < stmts; ++s) EmitIntLoopStatement(a, rng);
+    for (int s = 0; s < stmts; ++s) {
+      EmitIntLoopStatement(a, rng, float_to_int);
+    }
     a.IInc(kIntLoopSlot, 1);
     a.Goto(head);
     a.Bind(exit);
@@ -787,9 +836,9 @@ FuzzCase GenerateIntKernel(std::uint64_t seed) {
 
 // Interpreter vs compiled IR (typed evaluator) vs the reference walker on
 // one integer kernel, bit for bit, with equal evaluator step counts.
-void RunIntDifferential(std::uint64_t seed) {
+void RunIntDifferential(std::uint64_t seed, bool float_to_int = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  FuzzCase fc = GenerateIntKernel(seed);
+  FuzzCase fc = GenerateIntKernel(seed, float_to_int);
   jvm::VerifyOrThrow(*fc.pool, fc.pool->Get("IntKernel").GetMethod("call"));
   kir::Kernel kernel = b2c::CompileKernel(*fc.pool, fc.spec);
 
@@ -857,26 +906,61 @@ TEST_P(IntegerDifferentialFuzz, InterpreterAndBothEvaluatorsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IntegerDifferentialFuzz,
                          ::testing::Range(0, 8));
 
-TEST(FuzzGeneratorTest, IntKernelsCoverTheIntegerEdgeCases) {
-  // Over the pinned seeds the generator must emit every integer op the
-  // family exists for, so a generator change cannot silently drop one.
+class FloatToIntDifferentialFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(FloatToIntDifferentialFuzz, InterpreterAndBothEvaluatorsAgree) {
+  for (int k = 0; k < 8; ++k) {
+    RunIntDifferential(static_cast<std::uint64_t>(GetParam()) * 1000 +
+                           static_cast<std::uint64_t>(k),
+                       /*float_to_int=*/true);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FloatToIntDifferentialFuzz,
+                         ::testing::Range(0, 4));
+
+// Instruction texts the pinned seeds of one int-kernel family emit.
+std::map<std::string, int> IntKernelInsns(bool float_to_int, int params) {
   std::map<std::string, int> seen;
-  for (int p = 0; p < 8; ++p) {
+  for (int p = 0; p < params; ++p) {
     for (int k = 0; k < 8; ++k) {
       FuzzCase fc = GenerateIntKernel(static_cast<std::uint64_t>(p) * 1000 +
-                                      static_cast<std::uint64_t>(k));
+                                          static_cast<std::uint64_t>(k),
+                                      float_to_int);
       for (const jvm::Insn& insn :
            fc.pool->Get("IntKernel").GetMethod("call").code) {
         ++seen[insn.ToString()];
       }
     }
   }
+  return seen;
+}
+
+int CountMatching(const std::map<std::string, int>& seen,
+                  const std::string& needle) {
+  int n = 0;
+  for (const auto& [text, c] : seen) {
+    if (text.find(needle) != std::string::npos) n += c;
+  }
+  return n;
+}
+
+TEST(FuzzGeneratorTest, FloatToIntKernelsCoverEveryConversion) {
+  const std::map<std::string, int> seen = IntKernelInsns(true, 4);
+  for (const char* op :
+       {"convert double->int", "convert double->long", "convert float->int",
+        "convert float->long", "convert double->byte", "convert float->char",
+        "convert double->short"}) {
+    EXPECT_GT(CountMatching(seen, op), 0) << op;
+  }
+}
+
+TEST(FuzzGeneratorTest, IntKernelsCoverTheIntegerEdgeCases) {
+  // Over the pinned seeds the generator must emit every integer op the
+  // family exists for, so a generator change cannot silently drop one.
+  const std::map<std::string, int> seen = IntKernelInsns(false, 8);
   auto count = [&](const std::string& needle) {
-    int n = 0;
-    for (const auto& [text, c] : seen) {
-      if (text.find(needle) != std::string::npos) n += c;
-    }
-    return n;
+    return CountMatching(seen, needle);
   };
   for (const char* op :
        {"binop long div", "binop long rem", "binop int div", "binop int rem",

@@ -559,6 +559,67 @@ TEST_F(InterpFixture, ConversionTruncation) {
             -3);
 }
 
+TEST_F(InterpFixture, FloatToIntConversionsSaturateLikeJava) {
+  // f2i/d2i/f2l/d2l (JLS 5.1.3): NaN is 0, out-of-range values clamp to
+  // the target's MIN/MAX; byte/char/short narrow the saturated int.
+  Klass& k = pool_.Define("Test");
+  auto define = [&](const char* name, const Type& from, const Type& to) {
+    Assembler a;
+    a.Load(from, 0).Convert(from, to);
+    const Type ret = to.is_wide() ? to : Type::Int();
+    a.Ret(ret);
+    MethodSignature sig;
+    sig.params = {from};
+    sig.ret = ret;
+    k.AddMethod(MakeMethod(name, sig, true, 2, a.Finish()));
+  };
+  define("d2i", Type::Double(), Type::Int());
+  define("f2i", Type::Float(), Type::Int());
+  define("d2l", Type::Double(), Type::Long());
+  define("f2l", Type::Float(), Type::Long());
+  define("d2b", Type::Double(), Type::Byte());
+  define("d2c", Type::Double(), Type::Char());
+  Interpreter interp(pool_, heap_);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto d2i = [&](double d) {
+    return interp.Invoke("Test", "d2i", {Value::OfDouble(d)}).ret.AsInt();
+  };
+  auto d2l = [&](double d) {
+    return interp.Invoke("Test", "d2l", {Value::OfDouble(d)}).ret.AsLong();
+  };
+  auto f2i = [&](float f) {
+    return interp.Invoke("Test", "f2i", {Value::OfFloat(f)}).ret.AsInt();
+  };
+  auto f2l = [&](float f) {
+    return interp.Invoke("Test", "f2l", {Value::OfFloat(f)}).ret.AsLong();
+  };
+  EXPECT_EQ(d2i(nan), 0);
+  EXPECT_EQ(d2i(inf), INT32_MAX);
+  EXPECT_EQ(d2i(-inf), INT32_MIN);
+  EXPECT_EQ(d2i(3e9), INT32_MAX);
+  EXPECT_EQ(d2i(-3e9), INT32_MIN);
+  EXPECT_EQ(f2i(static_cast<float>(nan)), 0);
+  EXPECT_EQ(f2i(static_cast<float>(inf)), INT32_MAX);
+  EXPECT_EQ(f2i(3e9f), INT32_MAX);
+  EXPECT_EQ(d2l(nan), 0);
+  EXPECT_EQ(d2l(inf), INT64_MAX);
+  EXPECT_EQ(d2l(-inf), INT64_MIN);
+  EXPECT_EQ(d2l(-1e19), INT64_MIN);
+  EXPECT_EQ(d2l(1e19), INT64_MAX);
+  EXPECT_EQ(d2l(3e9), 3000000000LL);  // in range for long
+  EXPECT_EQ(f2l(static_cast<float>(-inf)), INT64_MIN);
+  EXPECT_EQ(f2l(-1e19f), INT64_MIN);
+  // (byte) 3e9 is (byte) Integer.MAX_VALUE = -1; (char) -inf is
+  // (char) Integer.MIN_VALUE = 0.
+  EXPECT_EQ(interp.Invoke("Test", "d2b", {Value::OfDouble(3e9)}).ret.AsInt(),
+            -1);
+  EXPECT_EQ(interp.Invoke("Test", "d2c", {Value::OfDouble(-inf)}).ret.AsInt(),
+            0);
+  EXPECT_EQ(interp.Invoke("Test", "d2b", {Value::OfDouble(nan)}).ret.AsInt(),
+            0);
+}
+
 TEST_F(InterpFixture, ByteArrayStoreNarrows) {
   Klass& k = pool_.Define("Test");
   Assembler a;

@@ -477,6 +477,50 @@ TEST(EvalTest, IntegerArithmeticWrapsLikeJava) {
   EXPECT_EQ(out["iout"][1].AsInt(), INT32_MIN);
 }
 
+TEST(EvalTest, FloatToIntCastsSaturateLikeJava) {
+  // Casts from float and double views follow Java's f2i/d2i/f2l/d2l: NaN
+  // is 0 and out-of-range values clamp to the target's MIN/MAX, so the
+  // evaluator agrees with the interpreter (and C's undefined conversion
+  // never runs). Byte narrows the saturated int.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {nan, inf, -inf, 3e9, -1e19};
+  Kernel k;
+  k.name = "f2i";
+  k.buffers.push_back({"iout", Type::Int(), 5, BufferKind::kOutput, ""});
+  k.buffers.push_back({"lout", Type::Long(), 5, BufferKind::kOutput, ""});
+  k.buffers.push_back({"fout", Type::Int(), 5, BufferKind::kOutput, ""});
+  k.buffers.push_back({"bout", Type::Byte(), 5, BufferKind::kOutput, ""});
+  k.body = Stmt::Block({});
+  for (std::int64_t i = 0; i < 5; ++i) {
+    auto d = Expr::FloatLit(values[i], Type::Double());
+    auto f = Expr::FloatLit(values[i], Type::Float());
+    auto at = [i](const char* buf, Type t) {
+      return Expr::ArrayRef(buf, t, Expr::IntLit(i));
+    };
+    k.body->stmts().push_back(
+        Stmt::Assign(at("iout", Type::Int()), Expr::Cast(Type::Int(), d)));
+    k.body->stmts().push_back(
+        Stmt::Assign(at("lout", Type::Long()), Expr::Cast(Type::Long(), d)));
+    k.body->stmts().push_back(
+        Stmt::Assign(at("fout", Type::Int()), Expr::Cast(Type::Int(), f)));
+    k.body->stmts().push_back(
+        Stmt::Assign(at("bout", Type::Byte()), Expr::Cast(Type::Byte(), d)));
+  }
+  BufferMap out = RunBothAgreeing(k);
+  const std::int32_t ints[] = {0, INT32_MAX, INT32_MIN, INT32_MAX, INT32_MIN};
+  const std::int64_t longs[] = {0, INT64_MAX, INT64_MIN, 3000000000LL,
+                                INT64_MIN};
+  const std::int32_t bytes[] = {0, -1, 0, -1, 0};  // (byte) of `ints`
+  for (std::size_t i = 0; i < 5; ++i) {
+    SCOPED_TRACE(values[i]);
+    EXPECT_EQ(out["iout"][i].AsInt(), ints[i]);
+    EXPECT_EQ(out["lout"][i].AsLong(), longs[i]);
+    EXPECT_EQ(out["fout"][i].AsInt(), ints[i]);
+    EXPECT_EQ(out["bout"][i].AsInt(), bytes[i]);
+  }
+}
+
 // Builds `decl x: int = 1; x = <rhs>` with the store typed `store`.
 Kernel MakeRedefinedVarKernel(Type store, ExprPtr rhs) {
   Kernel k;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "b2c/compiler.h"
+#include "blaze/chaos.h"
 #include "blaze/event_queue.h"
 #include "blaze/service.h"
 #include "jvm/assembler.h"
@@ -74,19 +75,17 @@ struct Fixture {
   }
 };
 
-ServiceRequest Req(int records, double arrival_us = 0,
-                   double deadline_us = 0) {
+ServiceRequest Req(int records, double arrival_us = 0) {
   ServiceRequest request;
   request.kernel = "doubler";
   request.input = DoublerInput(records);
   request.arrival_us = arrival_us;
-  request.deadline_us = deadline_us;
   return request;
 }
 
-bool IsShed(const RequestOutcome& outcome) {
-  return outcome.outcome == ServeOutcome::kRejectedFull ||
-         outcome.outcome == ServeOutcome::kShedExpired;
+// Serving's one fault grammar: a chaos-plan burst scoped to shard 0.
+AccelFaultInjector Burst(const std::string& plan) {
+  return MakeShardBurstInjector(ParseChaosPlan(plan), 0);
 }
 
 void ExpectDoubled(const RequestOutcome& outcome, int records) {
@@ -103,7 +102,7 @@ std::string Canon(const std::vector<RequestOutcome>& outcomes) {
   os << std::hexfloat;
   for (const auto& o : outcomes) {
     os << o.id << '|' << ServeOutcomeName(o.outcome) << '|' << o.replica
-       << '|' << o.attempts << '|' << o.probe << o.hedged << o.deadline_missed
+       << '|' << o.attempts << '|' << o.probe << o.hedged
        << '|' << o.dispatch_us << '|' << o.complete_us << '|' << o.latency_us
        << '|' << o.charged_us << '|';
     for (std::size_t c = 0; c < o.output.num_columns(); ++c) {
@@ -112,39 +111,6 @@ std::string Canon(const std::vector<RequestOutcome>& outcomes) {
     os << '\n';
   }
   return os.str();
-}
-
-// ------------------------------------------------------------- admission
-
-TEST(ServiceTest, RejectsWhenQueueFull) {
-  Fixture fx;
-  ServiceOptions options;
-  options.queue_capacity = 1;
-  BlazeService service = fx.MakeService(options);
-  // Three simultaneous arrivals, one replica: the first dispatches, the
-  // second waits (fills the queue), the third is rejected.
-  auto outcomes = service.Run({Req(16), Req(16), Req(16)});
-  EXPECT_EQ(outcomes[0].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[1].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[2].outcome, ServeOutcome::kRejectedFull);
-  EXPECT_EQ(outcomes[2].output.num_records(), 0u);
-  EXPECT_EQ(service.stats().rejected_full, 1u);
-  EXPECT_EQ(service.stats().admitted, 2u);
-  EXPECT_EQ(service.stats().max_queue_depth, 1u);
-  ExpectDoubled(outcomes[1], 16);
-}
-
-TEST(ServiceTest, ShedsExpiredDeadlineFromQueue) {
-  Fixture fx;
-  BlazeService service = fx.MakeService();
-  // A long request holds the lane; the short-deadline request behind it
-  // expires before the lane frees and is shed, not served late.
-  auto outcomes = service.Run({Req(512), Req(8, 0, /*deadline_us=*/1.0)});
-  EXPECT_EQ(outcomes[0].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[1].outcome, ServeOutcome::kShedExpired);
-  EXPECT_EQ(service.stats().shed_expired, 1u);
-  EXPECT_EQ(service.stats().completed, 1u);
-  EXPECT_DOUBLE_EQ(outcomes[1].latency_us, 0.0);
 }
 
 // ---------------------------------------------------------------- health
@@ -156,7 +122,7 @@ TEST(ServiceTest, ConsecutiveFailuresQuarantineTheReplica) {
       [](const std::string&, std::size_t, int) { return true; });
   auto outcomes = service.Run({Req(8), Req(8), Req(8), Req(8)});
   // Every request still completes (host fallback / host-direct): the
-  // serving layer never loses an admitted request.
+  // serving layer never loses a request.
   for (const auto& o : outcomes) {
     EXPECT_EQ(o.outcome, ServeOutcome::kHost);
     ExpectDoubled(o, 8);
@@ -173,7 +139,7 @@ TEST(ServiceTest, ProbeReenlistsAfterBurstClears) {
   ServiceOptions options;
   BlazeService service = fx.MakeService(options);
   // Invocations 0 and 1 fail every attempt; the burst then clears.
-  service.SetFaultInjector(MakeBurstFaultInjector({0, 2}));
+  service.SetFaultInjector(Burst("burst 0:2"));
   std::vector<ServiceRequest> wave1 = {Req(8, 0), Req(8, 0)};
   auto first = service.Run(std::move(wave1));
   EXPECT_EQ(service.health("r0"), AcceleratorHealth::kQuarantined);
@@ -262,7 +228,7 @@ TEST(ServiceTest, HedgingReducesTailAndCancelsLoserCharge) {
     for (int i = 0; i < 10; ++i) {
       requests.push_back(Req(64, 1e6 + i * 1e5));
     }
-    service.SetFaultInjector(MakeBurstFaultInjector({10, 6}));
+    service.SetFaultInjector(Burst("burst 10:6"));
     auto outcomes = service.Run(std::move(requests));
     struct Out {
       ServiceStats stats;
@@ -282,10 +248,7 @@ TEST(ServiceTest, HedgingReducesTailAndCancelsLoserCharge) {
   EXPECT_GT(hedged.stats.hedge_saved_us, 0.0);
   EXPECT_LT(hedged.p99, unhedged.p99);
   // The hedge changes timing, never results.
-  for (std::size_t i = 0; i < hedged.outcomes.size(); ++i) {
-    if (IsShed(hedged.outcomes[i])) continue;
-    ExpectDoubled(hedged.outcomes[i], 64);
-  }
+  for (const auto& o : hedged.outcomes) ExpectDoubled(o, 64);
 }
 
 TEST(ServiceTest, HedgeDelayArmsAfterMinSamples) {
@@ -303,22 +266,19 @@ TEST(ServiceTest, HedgeDelayArmsAfterMinSamples) {
 
 // ----------------------------------------------------------- robustness
 
-TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
+TEST(ServiceTest, NoRequestLostUnderFaultBurst) {
   Fixture fx(2);
-  ServiceOptions options;
-  options.queue_capacity = 4;
-  BlazeService service = fx.MakeService(options, 2);
+  BlazeService service = fx.MakeService({}, 2);
   // The injector fails exactly the invocations in [start, start + length);
-  // a zero-length burst injects nothing.
-  EXPECT_EQ(MakeBurstFaultInjector({3, 0}), nullptr);
-  AccelFaultInjector one = MakeBurstFaultInjector({3, 2});
+  // no burst, or only bursts scoped to other shards, injects nothing.
+  EXPECT_EQ(Burst(""), nullptr);
+  EXPECT_EQ(Burst("burst 3:2 @ 1"), nullptr);
+  AccelFaultInjector one = Burst("burst 3:2");
   EXPECT_FALSE(one("r0", 2, 0));
   EXPECT_TRUE(one("r0", 3, 0));
   EXPECT_TRUE(one("r0", 4, 1));
   EXPECT_FALSE(one("r0", 5, 0));
-  EXPECT_EQ(MakeBurstFaultInjector(std::vector<FaultBurst>{}), nullptr);
-  EXPECT_EQ(MakeBurstFaultInjector(std::vector<FaultBurst>{{3, 0}}), nullptr);
-  AccelFaultInjector two = MakeBurstFaultInjector({{1, 2}, {6, 1}});
+  AccelFaultInjector two = Burst("burst 1:2; burst 6:1 @ 0");
   ASSERT_NE(two, nullptr);
   EXPECT_FALSE(two("r0", 0, 0));
   EXPECT_TRUE(two("r0", 1, 0));
@@ -327,7 +287,7 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   EXPECT_TRUE(two("r0", 6, 0));
   EXPECT_FALSE(two("r0", 7, 0));
 
-  service.SetFaultInjector(MakeBurstFaultInjector({2, 8}));
+  service.SetFaultInjector(Burst("burst 2:8"));
   std::vector<ServiceRequest> requests;
   for (int i = 0; i < 24; ++i) {
     requests.push_back(Req(8 + (i % 5) * 16, i * 50.0));
@@ -335,10 +295,8 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   auto outcomes = service.Run(std::move(requests));
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.submitted, 24u);
-  EXPECT_EQ(stats.admitted,
-            stats.completed + stats.shed_expired);
+  EXPECT_EQ(stats.completed, 24u);
   for (const auto& o : outcomes) {
-    if (IsShed(o)) continue;
     ExpectDoubled(o, static_cast<int>(o.output.num_records()));
     EXPECT_GT(o.latency_us, 0.0);
     EXPECT_GT(o.charged_us, 0.0);
@@ -350,9 +308,8 @@ TEST(ServiceTest, OutcomesBitIdenticalAcrossExecThreads) {
     Fixture fx(3);
     ServiceOptions options;
     options.exec_threads = exec_threads;
-    options.queue_capacity = 8;
     BlazeService service = fx.MakeService(options, 3);
-    service.SetFaultInjector(MakeBurstFaultInjector({1, 6}));
+    service.SetFaultInjector(Burst("burst 1:6"));
     std::vector<ServiceRequest> requests;
     for (int i = 0; i < 32; ++i) {
       requests.push_back(Req(4 + (i * 7) % 40, (i % 11) * 37.0));
@@ -401,7 +358,7 @@ TEST(ServiceTest, ClockAdvancesToLastHostCompletion) {
   EXPECT_GE(next[0].dispatch_us, last_complete_us);
 }
 
-TEST(ServiceTest, DrainIsGracefulAndServiceStaysUsable) {
+TEST(ServiceTest, RunIsGracefulAndServiceStaysUsable) {
   Fixture fx;
   BlazeService service = fx.MakeService();
   auto first = service.Run({Req(8), Req(8)});
@@ -413,7 +370,7 @@ TEST(ServiceTest, DrainIsGracefulAndServiceStaysUsable) {
   auto second = service.Run({Req(8, /*arrival_us=*/0)});
   EXPECT_GE(second[0].dispatch_us, clock_after_first);
   EXPECT_EQ(service.stats().completed, 3u);
-  EXPECT_TRUE(service.Drain().empty());  // empty drain is a no-op
+  EXPECT_TRUE(service.Run({}).empty());  // an empty Run is a no-op
 }
 
 // ------------------------------------------------------------- plumbing
@@ -423,7 +380,7 @@ TEST(ServiceTest, ValidatesConfigurationAndIds) {
   EXPECT_THROW(
       { BlazeService bad(fx.runtime, [] {
           ServiceOptions o;
-          o.queue_capacity = 0;
+          o.health_window = 1;
           return o;
         }()); },
       Error);
@@ -437,7 +394,9 @@ TEST(ServiceTest, ValidatesConfigurationAndIds) {
   ServiceRequest unknown;
   unknown.kernel = "nope";
   unknown.input = DoublerInput(4);
-  EXPECT_THROW(service.Submit(std::move(unknown)), Error);
+  std::vector<ServiceRequest> requests;
+  requests.push_back(std::move(unknown));
+  EXPECT_THROW(service.Run(std::move(requests)), Error);
 }
 
 TEST(ServiceTest, LatencyQuantileIsNearestRank) {

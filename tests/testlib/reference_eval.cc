@@ -18,11 +18,18 @@ double ToDouble(const Value& v) {
   return v.AsDouble();
 }
 
+// Floating values convert like Java's f2l/d2l (saturating).
 std::int64_t ToInt64(const Value& v) {
   if (v.is_int()) return v.AsInt();
   if (v.is_long()) return v.AsLong();
-  if (v.is_float()) return static_cast<std::int64_t>(v.AsFloat());
-  return static_cast<std::int64_t>(v.AsDouble());
+  return jvm::JavaFloatToInt<std::int64_t>(ToDouble(v));
+}
+
+// Like ToInt64, but floating values convert like Java's f2i/d2i: the int
+// that byte/char/short narrowings start from.
+std::int64_t ToInt32Source(const Value& v) {
+  if (v.is_int() || v.is_long()) return ToInt64(v);
+  return jvm::JavaFloatToInt<std::int32_t>(ToDouble(v));
 }
 
 Value FromDouble(TypeKind kind, double d) {
@@ -32,9 +39,9 @@ Value FromDouble(TypeKind kind, double d) {
     case TypeKind::kDouble:
       return Value::OfDouble(d);
     case TypeKind::kLong:
-      return Value::OfLong(static_cast<std::int64_t>(d));
+      return Value::OfLong(jvm::JavaFloatToInt<std::int64_t>(d));
     default:
-      return Value::OfInt(static_cast<std::int32_t>(d));
+      return Value::OfInt(jvm::JavaFloatToInt<std::int32_t>(d));
   }
 }
 
@@ -43,13 +50,13 @@ Value NarrowToKind(TypeKind kind, const Value& v) {
     case TypeKind::kBoolean:
       return Value::OfInt(ToInt64(v) != 0 ? 1 : 0);
     case TypeKind::kByte:
-      return Value::OfInt(static_cast<std::int8_t>(ToInt64(v)));
+      return Value::OfInt(static_cast<std::int8_t>(ToInt32Source(v)));
     case TypeKind::kChar:
-      return Value::OfInt(static_cast<std::uint16_t>(ToInt64(v)));
+      return Value::OfInt(static_cast<std::uint16_t>(ToInt32Source(v)));
     case TypeKind::kShort:
-      return Value::OfInt(static_cast<std::int16_t>(ToInt64(v)));
+      return Value::OfInt(static_cast<std::int16_t>(ToInt32Source(v)));
     case TypeKind::kInt:
-      return Value::OfInt(static_cast<std::int32_t>(ToInt64(v)));
+      return Value::OfInt(static_cast<std::int32_t>(ToInt32Source(v)));
     case TypeKind::kLong:
       return Value::OfLong(ToInt64(v));
     case TypeKind::kFloat:

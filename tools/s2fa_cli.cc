@@ -590,6 +590,7 @@ struct TenantSpec {
 
 struct ServeKnobs {
   blaze::ServiceOptions options;
+  std::size_t queue_capacity = 64;  // the cluster's admission queue
   std::size_t shards = 1;
   std::vector<TenantSpec> tenants;
   blaze::ChaosPlan chaos;
@@ -660,7 +661,7 @@ bool ResolveServeKnobs(const Args& args, ServeKnobs& knobs) {
                    text.c_str());
       return false;
     }
-    knobs.options.queue_capacity = *queue;
+    knobs.queue_capacity = *queue;
   }
   text.clear();
   if (resolve("S2FA_HEDGE_QUANTILE", "hedge-quantile", text)) {
@@ -1014,7 +1015,7 @@ int CmdServe(apps::App& app, const Args& args) {
   coptions.shard_options = knobs.options;
   coptions.exec_threads = knobs.options.exec_threads;
   coptions.seed = knobs.options.seed;
-  coptions.queue_capacity = knobs.options.queue_capacity;
+  coptions.queue_capacity = knobs.queue_capacity;
   coptions.routing = knobs.routing;
   blaze::BlazeCluster cluster(runtime, coptions);
   for (std::size_t s = 0; s < knobs.shards; ++s) cluster.AddShard();
