@@ -23,8 +23,8 @@
 //
 // Quick mode (S2FA_BENCH_QUICK=1, used by the cluster_smoke ctest) scales
 // the request counts down ~50x but exercises every gate. Phase latencies
-// land in the serving perf ledger (BENCH_serving.json at the repo root, or
-// S2FA_PERF_LEDGER) for the perf-diff trajectory gate.
+// on the simulated clock land as modeled entries in the cluster record
+// ($S2FA_BENCH_OUT/cluster.record.json) for `s2fa perf-diff`.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -199,22 +199,15 @@ struct CanonHash {
 }  // namespace
 
 int main() {
-  MetricsScope metrics("cluster");
+  MetricsScope snapshot("cluster");
   const bool quick = QuickMode();
   const std::size_t scale_div = quick ? 50 : 1;
   std::printf("=== sharded serving replay (BlazeCluster chaos harness)%s ===\n",
               quick ? " [quick]" : "");
 
   Harness hx;
-  std::map<std::string, obs::LedgerEntry> entries;
-  auto ledger_entry = [&entries](const std::string& name, double ns_per_op,
-                                 double ops) {
-    obs::LedgerEntry entry;
-    entry.ns_per_op = ns_per_op;
-    entry.ops = ops;
-    entry.wall_ms = ns_per_op * ops / 1e6;
-    entries[name] = entry;
-  };
+  perfbench::Ledger gates;
+  perfbench::Metrics metrics;
 
   // ---- phase 1: capacity scaling, saturating waves -----------------------
   const std::size_t scale_reqs = 120000 / scale_div;
@@ -240,9 +233,9 @@ int main() {
                 "%.0f records/s, %zu mismatches\n",
                 shards, shards == 1 ? " " : "s", scale_reqs,
                 makespan_us / 1e3, tput[shards], mismatches);
-    ledger_entry("cluster.scale.shard" + std::to_string(shards) + ".request",
-                 makespan_us * 1e3 / static_cast<double>(scale_reqs),
-                 static_cast<double>(scale_reqs));
+    metrics["cluster.scale.shard" + std::to_string(shards) + ".request"] =
+        Modeled(makespan_us / static_cast<double>(scale_reqs),
+                "1 request, saturating makespan / requests", scale_reqs);
     if (mismatches > 0) {
       std::printf("GATE scale-reference-match: FAIL\n");
       return 1;
@@ -278,8 +271,8 @@ int main() {
     std::printf("clean baseline: %zu reqs, p50 %.0f / p99 %.0f us, "
                 "%zu mismatches\n",
                 base_reqs, clean_p50, clean_p99, mismatches);
-    ledger_entry("cluster.clean.request", clean_p50 * 1e3,
-                 static_cast<double>(base_reqs));
+    metrics["cluster.clean.request"] =
+        Modeled(clean_p50, "1 request, p50 of the clean phase", base_reqs);
     if (mismatches > 0) {
       std::printf("GATE clean-reference-match: FAIL\n");
       return 1;
@@ -343,9 +336,9 @@ int main() {
                 s.failovers, s.redirects, s.bisect_attempts,
                 s.poison_isolated, shard0_before_kill, shard0_while_dead,
                 shard0_after_restart);
-    ledger_entry("cluster.chaos.request",
-                 obs::NearestRankQuantile(latencies, 0.5) * 1e3,
-                 static_cast<double>(chaos_reqs));
+    metrics["cluster.chaos.request"] =
+        Modeled(obs::NearestRankQuantile(latencies, 0.5),
+                "1 request, p50 of the chaos phase", chaos_reqs);
   }
 
   // ---- phase 3: tenant flood under weighted-fair admission --------------
@@ -399,9 +392,9 @@ int main() {
                 "%zu\n",
                 flood_reqs, s.flood_injected, lost, mismatches, payer_p99,
                 noisy.throttled, noisy.submitted);
-    ledger_entry("cluster.flood.payer.request",
-                 obs::NearestRankQuantile(payer_latencies, 0.5) * 1e3,
-                 static_cast<double>(flood_reqs));
+    metrics["cluster.flood.payer.request"] =
+        Modeled(obs::NearestRankQuantile(payer_latencies, 0.5),
+                "1 paying-tenant request, p50 under the flood", flood_reqs);
   }
 
   // ---- phase 4: routing under hidden host backlog -----------------------
@@ -508,9 +501,9 @@ int main() {
                 "(health/depth)\n",
                 routing_episodes, routing_p99_health, routing_p99_depth,
                 lost_health, lost_depth, mism_health, mism_depth);
-    ledger_entry("cluster.routing.depth.request",
-                 obs::NearestRankQuantile(depth_lat, 0.5) * 1e3,
-                 static_cast<double>(routing_episodes * 25));
+    metrics["cluster.routing.depth.request"] =
+        Modeled(obs::NearestRankQuantile(depth_lat, 0.5),
+                "1 request, p50 under depth routing", routing_episodes * 25);
   }
 
   // ---- phase 5: exec-thread bit-identity --------------------------------
@@ -550,30 +543,19 @@ int main() {
                 deterministic ? "(all equal)" : "(MISMATCH)");
   }
 
-  std::printf("\nGATE shard-scaling: %s (2 shards %.2fx, 4 shards %.2fx)\n",
-              scales ? "PASS" : "FAIL", scale2, scale4);
-  std::printf("GATE chaos-zero-lost-and-match: %s\n",
-              chaos_ok ? "PASS" : "FAIL");
-  std::printf("GATE chaos-p99-bounded: %s\n", chaos_p99_ok ? "PASS" : "FAIL");
-  std::printf("GATE failover-rebalance: %s\n",
-              rebalance_ok ? "PASS" : "FAIL");
-  std::printf("GATE flood-fairness: %s\n", flood_ok ? "PASS" : "FAIL");
-  std::printf("GATE flood-p99-bounded: %s\n", flood_p99_ok ? "PASS" : "FAIL");
-  std::printf("GATE routing-zero-lost-and-match: %s\n",
-              routing_ok ? "PASS" : "FAIL");
-  std::printf("GATE routing-depth-tail-improves: %s (health %.0f us, "
-              "depth %.0f us)\n",
-              routing_tail_ok ? "PASS" : "FAIL", routing_p99_health,
-              routing_p99_depth);
-  std::printf("GATE exec-thread-determinism: %s\n",
-              deterministic ? "PASS" : "FAIL");
-
-  const std::string ledger_path =
-      UpdatePerfLedger(entries, ServingLedgerPath());
-  std::printf("perf ledger: %s\n", ledger_path.c_str());
-
-  return (scales && chaos_ok && chaos_p99_ok && rebalance_ok && flood_ok &&
-          flood_p99_ok && routing_ok && routing_tail_ok && deterministic)
-             ? 0
-             : 1;
+  std::printf("\n");
+  Gate(gates, "shard-scaling", scales, " (2 shards %.2fx, 4 shards %.2fx)",
+       scale2, scale4);
+  Gate(gates, "chaos-zero-lost-and-match", chaos_ok);
+  Gate(gates, "chaos-p99-bounded", chaos_p99_ok);
+  Gate(gates, "failover-rebalance", rebalance_ok);
+  Gate(gates, "flood-fairness", flood_ok);
+  Gate(gates, "flood-p99-bounded", flood_p99_ok);
+  Gate(gates, "routing-zero-lost-and-match", routing_ok);
+  Gate(gates, "routing-depth-tail-improves", routing_tail_ok,
+       " (health %.0f us, depth %.0f us)", routing_p99_health,
+       routing_p99_depth);
+  Gate(gates, "exec-thread-determinism", deterministic);
+  WriteRecord("cluster", gates, metrics);
+  return gates.failed() == 0 ? 0 : 1;
 }

@@ -3,14 +3,13 @@
 // evaluation, the Merlin transform, the HLS estimator, design-space
 // operations, serialization, and one full tuner evaluation round trip.
 //
-// Every run also updates the persistent perf ledger (obs/ledger.h): each
-// benchmark's ns/op lands in BENCH_micro.json (or $S2FA_PERF_LEDGER), where
-// `s2fa perf-diff` gates regressions against a previous snapshot.
+// Every run also writes the micro record ($S2FA_BENCH_OUT/micro.record.json):
+// each benchmark's host ns per iteration as a measured entry, which
+// `s2fa perf-diff` compares against another record from the same host.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <string>
 
@@ -25,7 +24,6 @@
 #include "hls/estimator.h"
 #include "kir/eval.h"
 #include "merlin/transform.h"
-#include "obs/ledger.h"
 #include "s2fa/framework.h"
 #include "tuner/space.h"
 
@@ -238,30 +236,24 @@ void BM_BlazeMapBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BlazeMapBatch);
 
-// Console reporting plus ledger capture: every finished (non-aggregate,
-// non-errored) run contributes its real-time ns/op to the perf ledger.
-class LedgerReporter : public benchmark::ConsoleReporter {
+// Console reporting plus record capture: every finished (non-aggregate,
+// non-errored) run contributes its real-time ns per iteration.
+class RecordReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& report) override {
     for (const Run& run : report) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       const double iterations =
           std::max<double>(1.0, static_cast<double>(run.iterations));
-      obs::LedgerEntry entry;
-      entry.ns_per_op = run.real_accumulated_time * 1e9 / iterations;
-      entry.ops = iterations;
-      entry.wall_ms = run.real_accumulated_time * 1e3;
-      entries_[run.benchmark_name()] = entry;
+      metrics[run.benchmark_name()] = {
+          run.real_accumulated_time * 1e9 / iterations, "ns",
+          perfbench::Kind::kMeasured, "1 iteration",
+          static_cast<std::size_t>(iterations)};
     }
     ConsoleReporter::ReportRuns(report);
   }
 
-  const std::map<std::string, obs::LedgerEntry>& entries() const {
-    return entries_;
-  }
-
- private:
-  std::map<std::string, obs::LedgerEntry> entries_;
+  perfbench::Metrics metrics;
 };
 
 }  // namespace
@@ -269,11 +261,9 @@ class LedgerReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  LedgerReporter reporter;
+  RecordReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  const std::string path = s2fa::bench::UpdatePerfLedger(reporter.entries());
-  std::fprintf(stderr, "perf ledger: %s (%zu benchmarks)\n", path.c_str(),
-               reporter.entries().size());
+  s2fa::bench::WriteRecord("micro", perfbench::Ledger(), reporter.metrics);
   return 0;
 }

@@ -13,10 +13,11 @@
 //   4. determinism — per-request outcomes (timing, billing, and payloads)
 //      are bit-identical across exec-thread counts (plan-order commit).
 //
-// Prints the replay summary per configuration plus one GATE line each.
+// Prints the replay summary per configuration plus one GATE line each; the
+// per-phase mean latencies on the simulated clock land as modeled entries
+// in the serving record ($S2FA_BENCH_OUT/serving.record.json).
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,7 +183,7 @@ void Print(const char* label, const Replay& r) {
 }  // namespace
 
 int main() {
-  MetricsScope metrics("serving");
+  MetricsScope snapshot("serving");
   std::printf("=== serving-layer workload replay (fault burst) ===\n");
 
   apps::App app = apps::FindApp("AES");
@@ -211,20 +212,21 @@ int main() {
   const bool deterministic =
       hedged.canon == hedged2.canon && hedged.canon == hedged8.canon;
 
-  std::printf("\nGATE no-request-lost: %s\n", none_lost ? "PASS" : "FAIL");
-  std::printf("GATE quarantine-fires-and-recovers: %s (%zu quarantines, %zu "
-              "re-enlistments)\n",
-              quarantine_cycled ? "PASS" : "FAIL", hedged.stats.quarantines,
-              hedged.stats.reenlistments);
-  std::printf("GATE hedging-reduces-p99: %s (%.0f us -> %.0f us)\n",
-              hedging_pays ? "PASS" : "FAIL", p99_unhedged, p99_hedged);
-  std::printf("GATE exec-thread-determinism: %s (1 vs 2 vs 8 threads)\n",
-              deterministic ? "PASS" : "FAIL");
+  perfbench::Ledger gates;
+  std::printf("\n");
+  Gate(gates, "no-request-lost", none_lost);
+  Gate(gates, "quarantine-fires-and-recovers", quarantine_cycled,
+       " (%zu quarantines, %zu re-enlistments)", hedged.stats.quarantines,
+       hedged.stats.reenlistments);
+  Gate(gates, "hedging-reduces-p99", hedging_pays, " (%.0f us -> %.0f us)",
+       p99_unhedged, p99_hedged);
+  Gate(gates, "exec-thread-determinism", deterministic,
+       " (1 vs 2 vs 8 threads)");
 
   // Phase-attributed latencies from the hedged (production-config) replay:
-  // warm/burst/recovery histograms give the ledger p50/p95/p99 per phase,
-  // and the phase means land as ns-per-request entries for `perf-diff`.
-  std::map<std::string, obs::LedgerEntry> serving_entries;
+  // warm/burst/recovery histograms give the metrics snapshot p50/p95/p99
+  // per phase, and the phase means land as modeled entries in the record.
+  perfbench::Metrics metrics;
   const struct {
     const char* name;
     std::size_t first, count;
@@ -235,27 +237,18 @@ int main() {
   };
   for (const auto& phase : phases) {
     double sum_us = 0;
-    std::size_t completed = 0;
     for (std::size_t i = phase.first; i < phase.first + phase.count; ++i) {
       const blaze::RequestOutcome& o = hedged.outcomes[i];
       S2FA_OBSERVE("serving." + std::string(phase.name) + ".latency_us",
                    o.latency_us);
       sum_us += o.latency_us;
-      ++completed;
     }
-    if (completed == 0) continue;
-    obs::LedgerEntry entry;
-    entry.ns_per_op = sum_us * 1000.0 / static_cast<double>(completed);
-    entry.ops = static_cast<double>(completed);
-    entry.wall_ms = sum_us / 1000.0;
-    serving_entries["serving." + std::string(phase.name) + ".request"] =
-        entry;
+    metrics["serving." + std::string(phase.name) + ".request"] =
+        Modeled(sum_us / static_cast<double>(phase.count),
+                "1 request, mean over the " + std::string(phase.name) +
+                    " phase",
+                phase.count);
   }
-  const std::string ledger_path =
-      UpdatePerfLedger(serving_entries, ServingLedgerPath());
-  std::printf("perf ledger: %s\n", ledger_path.c_str());
-
-  return (none_lost && quarantine_cycled && hedging_pays && deterministic)
-             ? 0
-             : 1;
+  WriteRecord("serving", gates, metrics);
+  return gates.failed() == 0 ? 0 : 1;
 }

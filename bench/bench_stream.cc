@@ -20,12 +20,11 @@
 //
 // Quick mode (S2FA_BENCH_QUICK=1, used by the stream_smoke ctest) scales
 // the record counts down ~50x but exercises every gate. Phase latencies
-// land in the serving perf ledger (BENCH_serving.json at the repo root, or
-// S2FA_PERF_LEDGER) for the perf-diff trajectory gate.
+// on the simulated clock land as modeled entries in the stream record
+// ($S2FA_BENCH_OUT/stream.record.json) for `s2fa perf-diff`.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,22 +202,15 @@ std::uint64_t CanonHash(const std::vector<blaze::StreamRecordOutcome>& outs) {
 }  // namespace
 
 int main() {
-  MetricsScope metrics("stream");
+  MetricsScope snapshot("stream");
   const bool quick = QuickMode();
   const std::size_t scale_div = quick ? 50 : 1;
   std::printf("=== streaming serving replay (StreamSession overload ladder)"
               "%s ===\n",
               quick ? " [quick]" : "");
 
-  std::map<std::string, obs::LedgerEntry> entries;
-  auto ledger_entry = [&entries](const std::string& name, double ns_per_op,
-                                 double ops) {
-    obs::LedgerEntry entry;
-    entry.ns_per_op = ns_per_op;
-    entry.ops = ops;
-    entry.wall_ms = ns_per_op * ops / 1e6;
-    entries[name] = entry;
-  };
+  perfbench::Ledger gates;
+  perfbench::Metrics metrics;
 
   // ---- phase 1: sub-capacity stream, everything within SLO ---------------
   const std::size_t sub_records = 200000 / scale_div;
@@ -240,8 +232,8 @@ int main() {
                 "%zu mismatches, p50 %.0f / p99 %.0f us (slo %.0f)\n",
                 sub_records, stats.committed, stats.shed_total(),
                 r.mismatches, p50, p99, options.slo_us);
-    ledger_entry("stream.sub.record", p50 * 1e3,
-                 static_cast<double>(sub_records));
+    metrics["stream.sub.record"] =
+        Modeled(p50, "1 record, p50 of the 0.5x stream", sub_records);
   }
 
   // ---- phase 2: chaos mid-stream at capacity -----------------------------
@@ -271,8 +263,9 @@ int main() {
                 chaos_records, stats.committed, stats.committed_host,
                 stats.shed_total(), r.mismatches, stats.max_queue_delay_us,
                 r.watermark_monotone ? "monotone" : "REGRESSED");
-    ledger_entry("stream.chaos.record", stats.LatencyQuantile(0.5) * 1e3,
-                 static_cast<double>(chaos_records));
+    metrics["stream.chaos.record"] =
+        Modeled(stats.LatencyQuantile(0.5), "1 record, p50 of the chaos stream",
+                chaos_records);
   }
 
   // ---- phase 3: 2x overload, ladder vs FIFO tail-drop --------------------
@@ -310,9 +303,10 @@ int main() {
                 ladder.stats.committed_host, ladder.stats.shed_total(),
                 ladder.stats.codel_engagements, ladder.stats.retries_granted,
                 good_fifo, fifo.stats.shed_queue_full);
-    ledger_entry("stream.overload.ladder.record",
-                 ladder.stats.LatencyQuantile(0.5) * 1e3,
-                 static_cast<double>(over_records));
+    metrics["stream.overload.ladder.record"] =
+        Modeled(ladder.stats.LatencyQuantile(0.5),
+                "1 record, p50 of the 2x stream through the ladder",
+                over_records);
   }
 
   // ---- phase 4: exec-thread bit-identity ---------------------------------
@@ -340,25 +334,14 @@ int main() {
                 deterministic ? "(all equal)" : "(MISMATCH)");
   }
 
-  std::printf("\nGATE stream-sub-capacity-clean: %s\n",
-              sub_ok ? "PASS" : "FAIL");
-  std::printf("GATE stream-sub-capacity-slo: %s\n",
-              sub_slo_ok ? "PASS" : "FAIL");
-  std::printf("GATE stream-chaos-zero-lost-and-match: %s\n",
-              chaos_ok ? "PASS" : "FAIL");
-  std::printf("GATE stream-overload-accounted: %s\n",
-              over_ok ? "PASS" : "FAIL");
-  std::printf("GATE stream-ladder-beats-fifo: %s (ladder %zu, fifo %zu)\n",
-              goodput_ok ? "PASS" : "FAIL", good_ladder, good_fifo);
-  std::printf("GATE stream-determinism: %s\n",
-              deterministic ? "PASS" : "FAIL");
-
-  const std::string ledger_path =
-      UpdatePerfLedger(entries, ServingLedgerPath());
-  std::printf("perf ledger: %s\n", ledger_path.c_str());
-
-  return (sub_ok && sub_slo_ok && chaos_ok && over_ok && goodput_ok &&
-          deterministic)
-             ? 0
-             : 1;
+  std::printf("\n");
+  Gate(gates, "stream-sub-capacity-clean", sub_ok);
+  Gate(gates, "stream-sub-capacity-slo", sub_slo_ok);
+  Gate(gates, "stream-chaos-zero-lost-and-match", chaos_ok);
+  Gate(gates, "stream-overload-accounted", over_ok);
+  Gate(gates, "stream-ladder-beats-fifo", goodput_ok,
+       " (ladder %zu, fifo %zu)", good_ladder, good_fifo);
+  Gate(gates, "stream-determinism", deterministic);
+  WriteRecord("stream", gates, metrics);
+  return gates.failed() == 0 ? 0 : 1;
 }

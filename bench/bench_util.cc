@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "b2c/compiler.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "support/error.h"
 #include "support/strings.h"
 
 namespace s2fa::bench {
@@ -256,34 +259,35 @@ std::string OutPath(const std::string& filename) {
   return (dir / filename).string();
 }
 
-std::string PerfLedgerPath() {
-  if (const char* env = std::getenv("S2FA_PERF_LEDGER")) return env;
-  return "BENCH_micro.json";
-}
-
-std::string ServingLedgerPath() {
-  if (const char* env = std::getenv("S2FA_PERF_LEDGER")) return env;
-  return "BENCH_serving.json";
-}
-
-std::string UpdatePerfLedger(
-    const std::map<std::string, obs::LedgerEntry>& benchmarks,
-    const std::string& path) {
-  const std::string resolved = path.empty() ? PerfLedgerPath() : path;
-  obs::PerfLedger update;
-  update.benchmarks = benchmarks;
-  obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  update.counters = snapshot.counters;
-  update.histograms = snapshot.histograms;
-  obs::StampLedgerFromEnv(update);
-  // A corrupt existing ledger throws (loudly) rather than being clobbered.
-  obs::PerfLedger merged = update;
-  if (std::optional<obs::PerfLedger> previous =
-          obs::TryLoadLedgerFile(resolved)) {
-    merged = obs::MergeLedgers(std::move(*previous), update);
+void Gate(perfbench::Ledger& gates, const char* name, bool ok,
+          const char* detail, ...) {
+  char rest[256] = "";
+  if (detail != nullptr) {
+    va_list args;
+    va_start(args, detail);
+    std::vsnprintf(rest, sizeof(rest), detail, args);
+    va_end(args);
   }
-  obs::WriteLedgerFile(resolved, merged);
-  return resolved;
+  std::printf("GATE %s: %s%s\n", name, ok ? "PASS" : "FAIL", rest);
+  gates.Check(ok, name);
+}
+
+perfbench::Metric Modeled(double sim_us, std::string per_op,
+                          std::size_t samples) {
+  return {sim_us, "sim_us", perfbench::Kind::kModeled, std::move(per_op),
+          samples};
+}
+
+void WriteRecord(const std::string& bench, const perfbench::Ledger& gates,
+                 const perfbench::Metrics& metrics) {
+  const char* rev = std::getenv("S2FA_GIT_REV");
+  const std::string path = OutPath(bench + ".record.json");
+  std::ofstream file(path);
+  file << perfbench::RenderJson(
+      bench, 0, perfbench::HostFingerprint(rev != nullptr ? rev : "unknown"),
+      gates, metrics);
+  if (!file.good()) throw Error("bench: failed writing " + path);
+  std::fprintf(stderr, "perf record: %s\n", path.c_str());
 }
 
 MetricsScope::MetricsScope(std::string name)

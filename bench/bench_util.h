@@ -1,17 +1,16 @@
 // Shared plumbing for the reproduction harness binaries: standard DSE
 // settings (the paper's 4-hour / 8-core setup), per-app artifact builders,
-// and table/trace rendering.
+// table/trace rendering, and the exit-code gates and performance record
+// each harness writes.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/app.h"
 #include "apps/jvm_baseline.h"
 #include "dse/explorer.h"
-#include "obs/ledger.h"
+#include "perfbench/report.h"
 #include "s2fa/framework.h"
 
 namespace s2fa::bench {
@@ -130,24 +129,23 @@ std::string RenderTraceRow(const std::string& label,
 // *_metrics.json files ended up committed at the repo root).
 std::string OutPath(const std::string& filename);
 
-// Resolved perf-ledger path: the S2FA_PERF_LEDGER environment variable,
-// or BENCH_micro.json in the working directory.
-std::string PerfLedgerPath();
+// Prints one exit-code gate as "GATE <name>: PASS|FAIL<detail>" and
+// counts it in `gates`; `detail`, when given, is a printf format for the
+// rest of the line.
+void Gate(perfbench::Ledger& gates, const char* name, bool ok,
+          const char* detail = nullptr, ...)
+    __attribute__((format(printf, 4, 5)));
 
-// Ledger path for the serving-layer harnesses (bench_serving /
-// bench_cluster): the S2FA_PERF_LEDGER environment variable, or
-// BENCH_serving.json in the working directory — so serving and micro
-// trajectories live in separate repo-root snapshots by default.
-std::string ServingLedgerPath();
+// A serving phase's simulated latency: a modeled entry in sim_us.
+perfbench::Metric Modeled(double sim_us, std::string per_op,
+                          std::size_t samples);
 
-// Merges `benchmarks` plus the current obs registry counters/histograms
-// into the perf ledger at `path` (PerfLedgerPath() when empty), stamping
-// git_rev/timestamp from S2FA_GIT_REV / S2FA_BENCH_TIMESTAMP. Existing
-// entries under other names survive, so the micro and serving harnesses
-// can share one ledger file. Returns the path written.
-std::string UpdatePerfLedger(
-    const std::map<std::string, obs::LedgerEntry>& benchmarks,
-    const std::string& path = "");
+// Writes the harness's performance record, perfbench's report format
+// (obs/ledger.h reads it), to OutPath("<bench>.record.json"): the gates as
+// its checks, the metrics, and the host fingerprint with S2FA_GIT_REV as
+// the source ("unknown" when unset).
+void WriteRecord(const std::string& bench, const perfbench::Ledger& gates,
+                 const perfbench::Metrics& metrics);
 
 // Enables the obs layer for the lifetime of a harness main() and writes
 // OutPath("<name>_metrics.json") on destruction — next to the harness's

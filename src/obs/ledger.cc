@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,266 +13,212 @@
 
 namespace s2fa::obs {
 
-using json::JsonNumber;
 using json::JsonObject;
-using json::JsonString;
 using json::JsonValue;
 
-std::string RenderLedgerJson(const PerfLedger& ledger) {
-  std::string out = "{\n";
-  out += "  \"schema\": " + JsonString(kPerfLedgerSchema) + ",\n";
-  out += "  \"version\": " + std::to_string(ledger.version) + ",\n";
-  out += "  \"git_rev\": " + JsonString(ledger.git_rev) + ",\n";
-  out += "  \"timestamp\": " + JsonString(ledger.timestamp) + ",\n";
+namespace {
 
-  out += "  \"benchmarks\": {";
-  bool first = true;
-  for (const auto& [name, entry] : ledger.benchmarks) {
-    out += first ? "\n" : ",\n";
-    out += "    " + JsonString(name) +
-           ": {\"ns_per_op\": " + JsonNumber(entry.ns_per_op) +
-           ", \"ops\": " + JsonNumber(entry.ops) +
-           ", \"wall_ms\": " + JsonNumber(entry.wall_ms) + "}";
-    first = false;
+const JsonValue& Field(const JsonObject& object, const std::string& name,
+                       const std::string& where) {
+  auto it = object.find(name);
+  if (it == object.end()) {
+    throw MalformedInput("perf record: " + where + "missing field '" + name +
+                         "'");
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : ledger.counters) {
-    out += first ? "\n" : ",\n";
-    out += "    " + JsonString(name) + ": " + std::to_string(value);
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : ledger.histograms) {
-    out += first ? "\n" : ",\n";
-    out += "    " + JsonString(name) + ": {\"count\": " +
-           std::to_string(h.count) + ", \"min\": " + JsonNumber(h.min) +
-           ", \"max\": " + JsonNumber(h.max) +
-           ", \"mean\": " + JsonNumber(h.mean) +
-           ", \"p50\": " + JsonNumber(h.p50) +
-           ", \"p95\": " + JsonNumber(h.p95) +
-           ", \"p99\": " + JsonNumber(h.p99) + "}";
-    first = false;
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return it->second;
 }
 
-PerfLedger ParseLedgerJson(const std::string& text) {
-  JsonValue root = json::Parse(text);
-  const JsonObject& object = root.object();
-
-  const auto field = [&](const char* name) -> const JsonValue& {
-    auto it = object.find(name);
-    if (it == object.end()) {
-      throw MalformedInput(std::string("perf ledger: missing field '") +
-                           name + "'");
-    }
-    return it->second;
-  };
-
-  if (field("schema").string() != kPerfLedgerSchema) {
-    throw MalformedInput("perf ledger: unknown schema '" +
-                         field("schema").string() + "' (expected " +
-                         kPerfLedgerSchema + ")");
+double Finite(const JsonValue& value, const std::string& what) {
+  const double number = value.number();
+  if (!std::isfinite(number)) {
+    throw MalformedInput("perf record: " + what + " is not a finite number");
   }
-  PerfLedger ledger;
-  ledger.version = static_cast<int>(field("version").number());
-  if (ledger.version != kPerfLedgerVersion) {
-    throw MalformedInput("perf ledger: unsupported version " +
-                         std::to_string(ledger.version) + " (expected " +
-                         std::to_string(kPerfLedgerVersion) + ")");
-  }
-  ledger.git_rev = field("git_rev").string();
-  ledger.timestamp = field("timestamp").string();
-
-  for (const auto& [name, value] : field("benchmarks").object()) {
-    const JsonObject& e = value.object();
-    LedgerEntry entry;
-    entry.ns_per_op = e.at("ns_per_op").number();
-    if (!std::isfinite(entry.ns_per_op) || entry.ns_per_op < 0) {
-      throw MalformedInput("perf ledger: benchmark '" + name +
-                           "' has a non-finite or negative ns_per_op");
-    }
-    if (auto it = e.find("ops"); it != e.end()) {
-      entry.ops = it->second.number();
-    }
-    if (auto it = e.find("wall_ms"); it != e.end()) {
-      entry.wall_ms = it->second.number();
-    }
-    ledger.benchmarks[name] = entry;
-  }
-  if (auto it = object.find("counters"); it != object.end()) {
-    for (const auto& [name, value] : it->second.object()) {
-      ledger.counters[name] = static_cast<std::int64_t>(value.number());
-    }
-  }
-  if (auto it = object.find("histograms"); it != object.end()) {
-    for (const auto& [name, value] : it->second.object()) {
-      const JsonObject& h = value.object();
-      HistogramStats stats;
-      stats.count = static_cast<std::size_t>(h.at("count").number());
-      stats.min = h.at("min").number();
-      stats.max = h.at("max").number();
-      stats.mean = h.at("mean").number();
-      stats.p50 = h.at("p50").number();
-      stats.p95 = h.at("p95").number();
-      stats.p99 = h.at("p99").number();
-      ledger.histograms[name] = stats;
-    }
-  }
-  return ledger;
+  return number;
 }
 
-PerfLedger LoadLedgerFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("perf ledger: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return ParseLedgerJson(text.str());
-  } catch (const MalformedInput& e) {
-    throw MalformedInput(path + ": " + e.what());
+MetricKind ParseKind(const std::string& text, const std::string& metric) {
+  for (MetricKind kind :
+       {MetricKind::kMeasured, MetricKind::kModeled, MetricKind::kExact}) {
+    if (text == MetricKindName(kind)) return kind;
   }
+  throw MalformedInput("perf record: metric '" + metric +
+                       "' has unknown kind '" + text + "'");
 }
 
-std::optional<PerfLedger> TryLoadLedgerFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return ParseLedgerJson(text.str());
-  } catch (const MalformedInput& e) {
-    throw MalformedInput(path + ": " + e.what());
+// Units a measured entry gates on: host time and memory.
+bool GatedUnit(const std::string& unit) {
+  for (const char* gated : {"s", "ms", "us", "ref_us", "ns", "MiB"}) {
+    if (unit == gated) return true;
   }
+  return false;
 }
 
-void WriteLedgerFile(const std::string& path, const PerfLedger& ledger) {
-  std::ofstream file(path);
-  if (!file) throw Error("perf ledger: cannot open " + path);
-  file << RenderLedgerJson(ledger);
-  if (!file.good()) throw Error("perf ledger: failed writing " + path);
-}
+}  // namespace
 
-PerfLedger MergeLedgers(PerfLedger base, const PerfLedger& update) {
-  base.version = update.version;
-  base.git_rev = update.git_rev;
-  base.timestamp = update.timestamp;
-  for (const auto& [name, entry] : update.benchmarks) {
-    base.benchmarks[name] = entry;
-  }
-  for (const auto& [name, value] : update.counters) {
-    base.counters[name] = value;
-  }
-  for (const auto& [name, stats] : update.histograms) {
-    base.histograms[name] = stats;
-  }
-  return base;
-}
-
-void StampLedgerFromEnv(PerfLedger& ledger) {
-  if (const char* rev = std::getenv("S2FA_GIT_REV")) ledger.git_rev = rev;
-  if (const char* ts = std::getenv("S2FA_BENCH_TIMESTAMP")) {
-    ledger.timestamp = ts;
-  }
-}
-
-const char* LedgerDiffKindName(LedgerDiffKind kind) {
+const char* MetricKindName(MetricKind kind) {
   switch (kind) {
-    case LedgerDiffKind::kImproved: return "improved";
-    case LedgerDiffKind::kFlat: return "flat";
-    case LedgerDiffKind::kRegressed: return "regressed";
-    case LedgerDiffKind::kAdded: return "added";
-    case LedgerDiffKind::kRemoved: return "removed";
+    case MetricKind::kMeasured: return "measured";
+    case MetricKind::kModeled: return "modeled";
+    case MetricKind::kExact: return "exact";
   }
   return "?";
 }
 
-LedgerDiff ComparePerfLedgers(const PerfLedger& prev, const PerfLedger& next,
+PerfRecord ParsePerfRecord(const std::string& text) {
+  const JsonValue root = json::Parse(text);
+  const JsonObject& object = root.object();
+  PerfRecord record;
+  record.workload = Field(object, "workload", "").string();
+  record.seed = static_cast<std::uint64_t>(
+      Finite(Field(object, "seed", ""), "seed"));
+  const JsonObject& host = Field(object, "host", "").object();
+  record.cpu = Field(host, "cpu", "host: ").string();
+  record.nproc =
+      static_cast<unsigned>(Finite(Field(host, "nproc", "host: "), "nproc"));
+  record.build_type = Field(host, "build_type", "host: ").string();
+  record.source = Field(host, "source", "host: ").string();
+  record.attempted = static_cast<std::size_t>(
+      Finite(Field(object, "attempted", ""), "attempted"));
+  record.failed = static_cast<std::size_t>(
+      Finite(Field(object, "failed", ""), "failed"));
+  for (const JsonValue& failure : Field(object, "failures", "").array()) {
+    record.failures.push_back(failure.string());
+  }
+  for (const auto& [name, value] : Field(object, "metrics", "").object()) {
+    const JsonObject& m = value.object();
+    const std::string where = "metric '" + name + "': ";
+    RecordMetric metric;
+    metric.value = Finite(Field(m, "value", where), "metric '" + name + "'");
+    metric.unit = Field(m, "unit", where).string();
+    metric.kind = ParseKind(Field(m, "kind", where).string(), name);
+    metric.per_op = Field(m, "per_op", where).string();
+    metric.samples = static_cast<std::size_t>(
+        Finite(Field(m, "samples", where), "samples of '" + name + "'"));
+    record.metrics[name] = std::move(metric);
+  }
+  return record;
+}
+
+PerfRecord LoadPerfRecord(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw Error("perf record: cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return ParsePerfRecord(text.str());
+  } catch (const MalformedInput& e) {
+    throw MalformedInput(path + ": " + e.what());
+  }
+}
+
+const char* RecordDiffKindName(RecordDiffKind kind) {
+  switch (kind) {
+    case RecordDiffKind::kImproved: return "improved";
+    case RecordDiffKind::kFlat: return "flat";
+    case RecordDiffKind::kRegressed: return "regressed";
+    case RecordDiffKind::kListed: return "listed";
+    case RecordDiffKind::kIncomparable: return "incomparable";
+    case RecordDiffKind::kAdded: return "added";
+    case RecordDiffKind::kRemoved: return "removed";
+  }
+  return "?";
+}
+
+std::size_t RecordDiff::Count(RecordDiffKind kind) const {
+  return static_cast<std::size_t>(
+      std::count_if(entries.begin(), entries.end(),
+                    [kind](const RecordDiffEntry& e) { return e.kind == kind; }));
+}
+
+RecordDiff ComparePerfRecords(const PerfRecord& prev, const PerfRecord& next,
                               double threshold) {
-  LedgerDiff diff;
+  if (prev.workload != next.workload) {
+    throw InvalidArgument("perf-diff: records of different workloads ('" +
+                          prev.workload + "' vs '" + next.workload + "')");
+  }
+  RecordDiff diff;
   diff.threshold = threshold;
-  for (const auto& [name, old_entry] : prev.benchmarks) {
-    LedgerDiffEntry entry;
+  diff.same_host = prev.cpu == next.cpu && prev.nproc == next.nproc &&
+                   prev.build_type == next.build_type;
+  for (const auto& [name, old_metric] : prev.metrics) {
+    RecordDiffEntry entry;
     entry.name = name;
-    entry.old_ns_per_op = old_entry.ns_per_op;
-    auto it = next.benchmarks.find(name);
-    if (it == next.benchmarks.end()) {
-      entry.kind = LedgerDiffKind::kRemoved;
-      ++diff.removed;
+    entry.old_metric = old_metric;
+    auto it = next.metrics.find(name);
+    if (it == next.metrics.end()) {
+      entry.kind = RecordDiffKind::kRemoved;
       diff.entries.push_back(std::move(entry));
       continue;
     }
-    entry.new_ns_per_op = it->second.ns_per_op;
-    if (old_entry.ns_per_op > 0) {
-      entry.delta =
-          (entry.new_ns_per_op - entry.old_ns_per_op) / entry.old_ns_per_op;
-    } else if (entry.new_ns_per_op > 0) {
+    const RecordMetric& m = it->second;
+    entry.new_metric = m;
+    if (old_metric.value != 0) {
+      entry.delta = (m.value - old_metric.value) / old_metric.value;
+    } else if (m.value != 0) {
       entry.delta = std::numeric_limits<double>::infinity();
     }
-    if (std::fabs(entry.delta) <= threshold) {
-      entry.kind = LedgerDiffKind::kFlat;
-      ++diff.flat;
-    } else if (entry.delta < 0) {
-      entry.kind = LedgerDiffKind::kImproved;
-      ++diff.improved;
+    if (m.kind != old_metric.kind || m.unit != old_metric.unit) {
+      // A redefined metric cannot be compared; treat it as moved.
+      entry.kind = RecordDiffKind::kRegressed;
+    } else if (m.kind != MetricKind::kMeasured) {
+      entry.kind = m.value == old_metric.value ? RecordDiffKind::kFlat
+                                               : RecordDiffKind::kRegressed;
+    } else if (!diff.same_host) {
+      entry.kind = RecordDiffKind::kIncomparable;
+    } else if (!GatedUnit(m.unit)) {
+      entry.kind = RecordDiffKind::kListed;
+    } else if (std::fabs(entry.delta) <= threshold) {
+      entry.kind = RecordDiffKind::kFlat;
     } else {
-      entry.kind = LedgerDiffKind::kRegressed;
-      ++diff.regressed;
+      entry.kind = entry.delta < 0 ? RecordDiffKind::kImproved
+                                   : RecordDiffKind::kRegressed;
     }
     diff.entries.push_back(std::move(entry));
   }
-  for (const auto& [name, new_entry] : next.benchmarks) {
-    if (prev.benchmarks.count(name) != 0) continue;
-    LedgerDiffEntry entry;
+  for (const auto& [name, new_metric] : next.metrics) {
+    if (prev.metrics.count(name) != 0) continue;
+    RecordDiffEntry entry;
     entry.name = name;
-    entry.kind = LedgerDiffKind::kAdded;
-    entry.new_ns_per_op = new_entry.ns_per_op;
-    ++diff.added;
+    entry.kind = RecordDiffKind::kAdded;
+    entry.new_metric = new_metric;
     diff.entries.push_back(std::move(entry));
   }
   // Both loops walk std::maps, so the merged list only needs one sort to
   // be name-ordered.
   std::stable_sort(diff.entries.begin(), diff.entries.end(),
-                   [](const LedgerDiffEntry& a, const LedgerDiffEntry& b) {
+                   [](const RecordDiffEntry& a, const RecordDiffEntry& b) {
                      return a.name < b.name;
                    });
   return diff;
 }
 
-std::string RenderLedgerDiffTable(const LedgerDiff& diff) {
-  TextTable table({"Benchmark", "Old ns/op", "New ns/op", "Delta", "Class"});
-  for (const LedgerDiffEntry& entry : diff.entries) {
-    const bool both = entry.kind != LedgerDiffKind::kAdded &&
-                      entry.kind != LedgerDiffKind::kRemoved;
+std::string RenderRecordDiffTable(const RecordDiff& diff) {
+  TextTable table({"Metric", "Kind", "Unit", "Old", "New", "Delta", "Class"});
+  for (const RecordDiffEntry& entry : diff.entries) {
+    const bool added = entry.kind == RecordDiffKind::kAdded;
+    const bool removed = entry.kind == RecordDiffKind::kRemoved;
+    const RecordMetric& shown = added ? entry.new_metric : entry.old_metric;
     table.AddRow(
-        {entry.name,
-         entry.kind == LedgerDiffKind::kAdded
-             ? "--"
-             : FormatDouble(entry.old_ns_per_op, 1),
-         entry.kind == LedgerDiffKind::kRemoved
-             ? "--"
-             : FormatDouble(entry.new_ns_per_op, 1),
-         both && std::isfinite(entry.delta)
+        {entry.name, MetricKindName(shown.kind), shown.unit,
+         added ? "--" : json::JsonNumber(entry.old_metric.value),
+         removed ? "--" : json::JsonNumber(entry.new_metric.value),
+         !added && !removed && std::isfinite(entry.delta)
              ? (entry.delta >= 0 ? "+" : "") + FormatPercent(entry.delta)
              : "--",
-         LedgerDiffKindName(entry.kind)});
+         RecordDiffKindName(entry.kind)});
   }
   std::string out = table.Render();
-  out += "threshold " + FormatPercent(diff.threshold) + ": " +
-         std::to_string(diff.improved) + " improved, " +
-         std::to_string(diff.flat) + " flat, " +
-         std::to_string(diff.regressed) + " regressed, " +
-         std::to_string(diff.added) + " added, " +
-         std::to_string(diff.removed) + " removed\n";
-  return out;
+  out += "threshold " + FormatPercent(diff.threshold) +
+         (diff.same_host ? " (same host)" : " (different hosts)") + ":";
+  for (RecordDiffKind kind :
+       {RecordDiffKind::kImproved, RecordDiffKind::kFlat,
+        RecordDiffKind::kRegressed, RecordDiffKind::kListed,
+        RecordDiffKind::kIncomparable, RecordDiffKind::kAdded,
+        RecordDiffKind::kRemoved}) {
+    out += (kind == RecordDiffKind::kImproved ? " " : ", ") +
+           std::to_string(diff.Count(kind)) + " " + RecordDiffKindName(kind);
+  }
+  return out + "\n";
 }
 
 }  // namespace s2fa::obs

@@ -1,104 +1,98 @@
-// Persistent perf ledger: the repo's perf trajectory lives in versioned
-// `BENCH_micro.json` snapshots (schema "s2fa-perf-ledger", version 1) that
-// the bench harnesses emit every run — benchmark name -> ns/op plus
-// wall-clock context, obs counter snapshots, and obs histogram percentile
-// snapshots (the serving p50/p95/p99 phases land here). Git revision and
-// timestamp are passed in by the harness (S2FA_GIT_REV /
-// S2FA_BENCH_TIMESTAMP environment, "unknown" otherwise) — the ledger
-// itself never reaches for the clock so golden snapshots stay comparable.
+// Reader and comparator for performance records: the JSON report that
+// perfbench's writer (perfbench/report.h) emits, for the repository
+// benchmark and for every bench harness's `<bench>.record.json` alike.
+// A record names its workload and seed, fingerprints the host (cpu, nproc,
+// build type, source revision), counts its correctness checks, and holds
+// named metrics, each with a value, unit, kind, per-op definition and
+// sample count. Kinds keep host time apart from model output:
 //
-// The comparator diffs a current run against a previous snapshot and
-// classifies each benchmark entry as improved / flat / regressed against a
-// configurable relative threshold (plus added / removed for entries only
-// one side has). `s2fa perf-diff` exits nonzero when anything regressed at
-// or beyond the threshold — the regression gate every later perf PR is
-// measured against.
+//   measured — host wall-clock or memory; only comparable on the same host;
+//   modeled  — simulated clock or model output (sim_us, sim_min, ...);
+//   exact    — counts and fractions the program determines.
+//
+// The comparator (`s2fa perf-diff`) gates modeled and exact entries on
+// exact equality, at any threshold: a modeled value that moves is a
+// behaviour change. Measured entries are compared only when cpu, nproc and
+// build type match on both sides (otherwise they are `incomparable`), and
+// among those only time and memory units gate, on a rise past the
+// threshold; entries in other units are `listed`. Entries only one side
+// has never gate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/obs.h"
-
 namespace s2fa::obs {
 
-inline constexpr const char* kPerfLedgerSchema = "s2fa-perf-ledger";
-inline constexpr int kPerfLedgerVersion = 1;
-// Relative ns/op change below which an entry counts as flat.
+// Relative rise of a comparable measured entry that counts as a regression.
 inline constexpr double kDefaultPerfThreshold = 0.10;
 
-struct LedgerEntry {
-  double ns_per_op = 0;
-  double ops = 0;      // iterations/records measured (0 = unknown)
-  double wall_ms = 0;  // wall clock of the measurement (0 = unknown)
+enum class MetricKind { kMeasured, kModeled, kExact };
+const char* MetricKindName(MetricKind kind);
+
+struct RecordMetric {
+  double value = 0;
+  std::string unit;
+  MetricKind kind = MetricKind::kMeasured;
+  std::string per_op;
+  std::size_t samples = 0;
 };
 
-struct PerfLedger {
-  int version = kPerfLedgerVersion;
-  std::string git_rev = "unknown";
-  std::string timestamp = "unknown";
-  std::map<std::string, LedgerEntry> benchmarks;
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, HistogramStats> histograms;
+struct PerfRecord {
+  std::string workload;
+  std::uint64_t seed = 0;
+  std::string cpu;
+  unsigned nproc = 0;
+  std::string build_type;
+  std::string source;
+  std::size_t attempted = 0;
+  std::size_t failed = 0;
+  std::vector<std::string> failures;
+  std::map<std::string, RecordMetric> metrics;
 };
 
-// Rendering / parsing. ParseLedgerJson validates the schema marker and
-// version and throws MalformedInput on anything it can't read.
-std::string RenderLedgerJson(const PerfLedger& ledger);
-PerfLedger ParseLedgerJson(const std::string& text);
+// Throws MalformedInput on anything it can't read: a missing field, a
+// missing or unknown kind, or a non-finite value (written as null).
+PerfRecord ParsePerfRecord(const std::string& text);
+// Throws Error when the file can't be read.
+PerfRecord LoadPerfRecord(const std::string& path);
 
-// File I/O. LoadLedgerFile throws Error when the file can't be read;
-// TryLoadLedgerFile returns nullopt for a missing file (first run) but
-// still throws on a present-but-malformed one — a corrupt trajectory
-// should fail loudly, not silently restart.
-PerfLedger LoadLedgerFile(const std::string& path);
-std::optional<PerfLedger> TryLoadLedgerFile(const std::string& path);
-void WriteLedgerFile(const std::string& path, const PerfLedger& ledger);
+enum class RecordDiffKind {
+  kImproved,
+  kFlat,
+  kRegressed,
+  kListed,
+  kIncomparable,
+  kAdded,
+  kRemoved,
+};
+const char* RecordDiffKindName(RecordDiffKind kind);
 
-// Merge for incremental updates: `update`'s benchmarks/counters/histograms
-// overwrite same-named entries in `base`, everything else carries over, and
-// the metadata (rev, timestamp) comes from `update`. This is how several
-// bench binaries share one BENCH_micro.json.
-PerfLedger MergeLedgers(PerfLedger base, const PerfLedger& update);
-
-// Stamps git_rev/timestamp from S2FA_GIT_REV / S2FA_BENCH_TIMESTAMP when
-// set (harness-provided); leaves the existing values otherwise.
-void StampLedgerFromEnv(PerfLedger& ledger);
-
-// ------------------------------------------------------------- comparator
-
-enum class LedgerDiffKind { kImproved, kFlat, kRegressed, kAdded, kRemoved };
-const char* LedgerDiffKindName(LedgerDiffKind kind);
-
-struct LedgerDiffEntry {
+struct RecordDiffEntry {
   std::string name;
-  LedgerDiffKind kind = LedgerDiffKind::kFlat;
-  double old_ns_per_op = 0;
-  double new_ns_per_op = 0;
-  double delta = 0;  // (new - old) / old; 0 when old is unknown/zero
+  RecordDiffKind kind = RecordDiffKind::kFlat;
+  RecordMetric old_metric;  // default-constructed when added
+  RecordMetric new_metric;  // default-constructed when removed
+  double delta = 0;         // (new - old) / old; 0 when not computed
 };
 
-struct LedgerDiff {
+struct RecordDiff {
   double threshold = kDefaultPerfThreshold;
-  std::vector<LedgerDiffEntry> entries;  // ordered by name
-  std::size_t improved = 0;
-  std::size_t flat = 0;
-  std::size_t regressed = 0;
-  std::size_t added = 0;
-  std::size_t removed = 0;
+  bool same_host = false;
+  std::vector<RecordDiffEntry> entries;  // ordered by name
 
-  bool HasRegression() const { return regressed > 0; }
+  std::size_t Count(RecordDiffKind kind) const;
+  bool HasRegression() const { return Count(RecordDiffKind::kRegressed) > 0; }
 };
 
-// Classifies every benchmark entry of `next` against `prev`: |delta| <=
-// threshold is flat, a faster entry improved, a slower one regressed;
-// entries only one side has are added/removed (never a regression).
-LedgerDiff ComparePerfLedgers(const PerfLedger& prev, const PerfLedger& next,
+// Classifies every metric of `next` against `prev` by the rules above.
+// Throws InvalidArgument when the two records are of different workloads.
+RecordDiff ComparePerfRecords(const PerfRecord& prev, const PerfRecord& next,
                               double threshold = kDefaultPerfThreshold);
 
-std::string RenderLedgerDiffTable(const LedgerDiff& diff);
+std::string RenderRecordDiffTable(const RecordDiff& diff);
 
 }  // namespace s2fa::obs

@@ -1,12 +1,12 @@
-// Profiler + perf-ledger suite: profile-tree reconstruction from synthetic
-// and real span events, the self/total invariants, Chrome-trace validity,
-// ledger round-trip + comparator classification, reservoir-histogram
-// exactness, and the Drain-vs-Record race.
+// Profiler + performance-record suite: profile-tree reconstruction from
+// synthetic and real span events, the self/total invariants, Chrome-trace
+// validity, perfbench reports read back and compared by `perf-diff`'s
+// rules, reservoir-histogram exactness, and the Drain-vs-Record race.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "obs/ledger.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
+#include "perfbench/report.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
 
@@ -221,134 +222,150 @@ TEST_F(ProfileTest, ChromeTraceIsValidJson) {
   EXPECT_DOUBLE_EQ(trace[1].object().at("tid").number(), 2);
 }
 
-// ----------------------------------------------------------- perf ledger
+// -------------------------------------------------- performance records
 
-PerfLedger SampleLedger() {
-  PerfLedger ledger;
-  ledger.git_rev = "abc123";
-  ledger.timestamp = "2026-08-08T00:00:00";
-  ledger.benchmarks["BM_Alpha"] = {120.5, 1000, 0.12};
-  ledger.benchmarks["BM_Beta"] = {98000.25, 64, 6.3};
-  ledger.counters["blaze.batches"] = 42;
-  HistogramStats h;
-  h.count = 7;
-  h.min = 1;
-  h.max = 9;
-  h.mean = 4.5;
-  h.p50 = 4;
-  h.p95 = 8;
-  h.p99 = 9;
-  ledger.histograms["svc.latency_us"] = h;
-  return ledger;
+// A report in perfbench's own format, written by its own writer.
+std::string Report(const perfbench::Metrics& metrics,
+                   const std::string& cpu = "cpu-a",
+                   const std::string& workload = "serve") {
+  perfbench::Ledger checks;
+  checks.Check(true, "first");
+  checks.Record(4, 1, "outputs match");
+  return perfbench::RenderJson(workload, 20261017, {cpu, 4, "Release", "rev-1"},
+                               checks, metrics);
 }
 
-TEST(LedgerTest, JsonRoundTripPreservesEverything) {
-  PerfLedger in = SampleLedger();
-  PerfLedger out = ParseLedgerJson(RenderLedgerJson(in));
-  EXPECT_EQ(out.version, kPerfLedgerVersion);
-  EXPECT_EQ(out.git_rev, "abc123");
-  EXPECT_EQ(out.timestamp, "2026-08-08T00:00:00");
-  ASSERT_EQ(out.benchmarks.size(), 2u);
-  EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Alpha").ns_per_op, 120.5);
-  EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Alpha").ops, 1000);
-  EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Beta").wall_ms, 6.3);
-  EXPECT_EQ(out.counters.at("blaze.batches"), 42);
-  const HistogramStats& h = out.histograms.at("svc.latency_us");
-  EXPECT_EQ(h.count, 7u);
-  EXPECT_DOUBLE_EQ(h.mean, 4.5);
-  EXPECT_DOUBLE_EQ(h.p99, 9);
+perfbench::Metrics SampleMetrics() {
+  using perfbench::Kind;
+  perfbench::Metrics m;
+  m["host_ref_us_per_op"] = {31.625, "ref_us", Kind::kMeasured, "1 request",
+                             12};
+  m["peak_rss_mb"] = {18.5, "MiB", Kind::kMeasured, "whole pass", 1};
+  m["trace.overhead"] = {0.25, "frac", Kind::kMeasured, "traced pass", 1};
+  m["p50_us"] = {202.89312345678901, "sim_us", Kind::kModeled,
+                 "1 committed request", 480};
+  m["rounds"] = {7, "count", Kind::kExact, "untraced pass", 1};
+  return m;
 }
 
-TEST(LedgerTest, FileRoundTripAndTryLoad) {
-  const std::string path = ::testing::TempDir() + "/ledger_rt." + std::to_string(::getpid()) + ".json";
-  WriteLedgerFile(path, SampleLedger());
-  PerfLedger out = LoadLedgerFile(path);
-  EXPECT_EQ(out.benchmarks.size(), 2u);
-  EXPECT_TRUE(TryLoadLedgerFile(path).has_value());
-  EXPECT_FALSE(TryLoadLedgerFile(path + ".missing").has_value());
-  std::remove(path.c_str());
-}
-
-TEST(LedgerTest, ValidationRejectsBadDocuments) {
-  EXPECT_THROW(ParseLedgerJson("not json"), MalformedInput);
-  EXPECT_THROW(ParseLedgerJson("{}"), MalformedInput);  // missing schema
-  std::string wrong_schema = RenderLedgerJson(SampleLedger());
-  wrong_schema.replace(wrong_schema.find("s2fa-perf-ledger"), 16,
-                       "someone-elses-it");
-  EXPECT_THROW(ParseLedgerJson(wrong_schema), MalformedInput);
-  std::string wrong_version = RenderLedgerJson(SampleLedger());
-  wrong_version.replace(wrong_version.find("\"version\": 1"), 12,
-                        "\"version\": 9");
-  EXPECT_THROW(ParseLedgerJson(wrong_version), MalformedInput);
-  PerfLedger negative = SampleLedger();
-  negative.benchmarks["BM_Bad"] = {-5, 0, 0};
-  EXPECT_THROW(ParseLedgerJson(RenderLedgerJson(negative)), MalformedInput);
-  // A present-but-corrupt file must throw, not restart the trajectory.
-  const std::string path = ::testing::TempDir() + "/ledger_corrupt." + std::to_string(::getpid()) + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"schema\": \"s2fa-perf-ledger\", \"version\": ", f);
-  std::fclose(f);
-  EXPECT_THROW(TryLoadLedgerFile(path), MalformedInput);
-  std::remove(path.c_str());
-}
-
-TEST(LedgerTest, MergeOverwritesAndCarriesOver) {
-  PerfLedger base = SampleLedger();
-  PerfLedger update;
-  update.git_rev = "def456";
-  update.timestamp = "later";
-  update.benchmarks["BM_Beta"] = {50, 10, 1};
-  update.benchmarks["BM_Gamma"] = {7, 1, 0.1};
-  update.counters["svc.requests"] = 9;
-  PerfLedger merged = MergeLedgers(base, update);
-  EXPECT_EQ(merged.git_rev, "def456");
-  EXPECT_EQ(merged.timestamp, "later");
-  EXPECT_EQ(merged.benchmarks.size(), 3u);
-  EXPECT_DOUBLE_EQ(merged.benchmarks.at("BM_Alpha").ns_per_op, 120.5);
-  EXPECT_DOUBLE_EQ(merged.benchmarks.at("BM_Beta").ns_per_op, 50);
-  EXPECT_EQ(merged.counters.size(), 2u);
-}
-
-TEST(LedgerTest, ComparatorClassifiesAgainstThreshold) {
-  PerfLedger prev, next;
-  prev.benchmarks["flat"] = {100, 0, 0};
-  prev.benchmarks["flat_edge"] = {100, 0, 0};
-  prev.benchmarks["better"] = {100, 0, 0};
-  prev.benchmarks["worse"] = {100, 0, 0};
-  prev.benchmarks["gone"] = {100, 0, 0};
-  next.benchmarks["flat"] = {104, 0, 0};
-  next.benchmarks["flat_edge"] = {110, 0, 0};  // exactly at the threshold
-  next.benchmarks["better"] = {80, 0, 0};
-  next.benchmarks["worse"] = {140, 0, 0};
-  next.benchmarks["fresh"] = {55, 0, 0};
-
-  LedgerDiff diff = ComparePerfLedgers(prev, next, 0.10);
-  EXPECT_EQ(diff.flat, 2u);
-  EXPECT_EQ(diff.improved, 1u);
-  EXPECT_EQ(diff.regressed, 1u);
-  EXPECT_EQ(diff.added, 1u);
-  EXPECT_EQ(diff.removed, 1u);
-  EXPECT_TRUE(diff.HasRegression());
-  for (const LedgerDiffEntry& e : diff.entries) {
-    if (e.name == "worse") {
-      EXPECT_EQ(e.kind, LedgerDiffKind::kRegressed);
-      EXPECT_NEAR(e.delta, 0.40, 1e-12);
-    }
-    if (e.name == "flat_edge") EXPECT_EQ(e.kind, LedgerDiffKind::kFlat);
-    if (e.name == "fresh") EXPECT_EQ(e.kind, LedgerDiffKind::kAdded);
+const RecordDiffEntry& Entry(const RecordDiff& diff, const std::string& name) {
+  for (const RecordDiffEntry& e : diff.entries) {
+    if (e.name == name) return e;
   }
-  std::string table = RenderLedgerDiffTable(diff);
-  EXPECT_NE(table.find("regressed"), std::string::npos);
-  EXPECT_NE(table.find("1 regressed"), std::string::npos);
+  throw std::out_of_range(name);
+}
 
-  // Identical ledgers never regress; added/removed alone never gate.
-  LedgerDiff same = ComparePerfLedgers(prev, prev, 0.10);
-  EXPECT_FALSE(same.HasRegression());
-  EXPECT_EQ(same.flat, prev.benchmarks.size());
-  PerfLedger empty;
-  EXPECT_FALSE(ComparePerfLedgers(empty, next, 0.10).HasRegression());
-  EXPECT_FALSE(ComparePerfLedgers(prev, empty, 0.10).HasRegression());
+TEST(RecordTest, PerfbenchReportReadsBackIntact) {
+  const perfbench::Metrics in = SampleMetrics();
+  const PerfRecord out = ParsePerfRecord(Report(in));
+  EXPECT_EQ(out.workload, "serve");
+  EXPECT_EQ(out.seed, 20261017u);
+  EXPECT_EQ(out.cpu, "cpu-a");
+  EXPECT_EQ(out.nproc, 4u);
+  EXPECT_EQ(out.build_type, "Release");
+  EXPECT_EQ(out.source, "rev-1");
+  EXPECT_EQ(out.attempted, 5u);
+  EXPECT_EQ(out.failed, 1u);
+  ASSERT_EQ(out.failures.size(), 1u);
+  EXPECT_EQ(out.failures[0], "outputs match (1 of 4)");
+  ASSERT_EQ(out.metrics.size(), in.size());
+  for (const auto& [name, m] : in) {
+    const RecordMetric& r = out.metrics.at(name);
+    EXPECT_EQ(r.value, m.value) << name;  // bit-exact
+    EXPECT_EQ(r.unit, m.unit) << name;
+    EXPECT_STREQ(MetricKindName(r.kind), perfbench::KindName(m.kind)) << name;
+    EXPECT_EQ(r.per_op, m.per_op) << name;
+    EXPECT_EQ(r.samples, m.samples) << name;
+  }
+  EXPECT_THROW(LoadPerfRecord(::testing::TempDir() + "/no-such.record.json"),
+               Error);
+}
+
+TEST(RecordTest, MovedModeledOrExactValueRegressesAtAnyThreshold) {
+  const PerfRecord prev = ParsePerfRecord(Report(SampleMetrics()));
+  EXPECT_FALSE(ComparePerfRecords(prev, prev, 0).HasRegression());
+  for (const char* name : {"p50_us", "rounds"}) {
+    perfbench::Metrics moved = SampleMetrics();
+    moved[name].value *= 1 - 1e-12;  // "improved", but a behaviour change
+    const RecordDiff diff =
+        ComparePerfRecords(prev, ParsePerfRecord(Report(moved)), 1e6);
+    EXPECT_EQ(Entry(diff, name).kind, RecordDiffKind::kRegressed) << name;
+    EXPECT_EQ(diff.Count(RecordDiffKind::kRegressed), 1u) << name;
+    EXPECT_TRUE(diff.HasRegression());
+  }
+}
+
+TEST(RecordTest, MeasuredEntriesGateOnlyOnTheSameHost) {
+  const PerfRecord prev = ParsePerfRecord(Report(SampleMetrics()));
+  perfbench::Metrics slower = SampleMetrics();
+  slower["host_ref_us_per_op"].value *= 3;
+  slower["peak_rss_mb"].value *= 0.5;
+  slower["trace.overhead"].value *= 4;
+
+  const RecordDiff other =
+      ComparePerfRecords(prev, ParsePerfRecord(Report(slower, "cpu-b")), 0.1);
+  EXPECT_FALSE(other.same_host);
+  EXPECT_FALSE(other.HasRegression());  // perf-diff exits 0
+  EXPECT_EQ(other.Count(RecordDiffKind::kIncomparable), 3u);
+  EXPECT_EQ(Entry(other, "p50_us").kind, RecordDiffKind::kFlat);
+
+  const RecordDiff same =
+      ComparePerfRecords(prev, ParsePerfRecord(Report(slower)), 0.1);
+  EXPECT_TRUE(same.same_host);
+  EXPECT_EQ(Entry(same, "host_ref_us_per_op").kind,
+            RecordDiffKind::kRegressed);
+  EXPECT_NEAR(Entry(same, "host_ref_us_per_op").delta, 2.0, 1e-12);
+  EXPECT_EQ(Entry(same, "peak_rss_mb").kind, RecordDiffKind::kImproved);
+  EXPECT_EQ(Entry(same, "trace.overhead").kind, RecordDiffKind::kListed);
+  EXPECT_EQ(same.Count(RecordDiffKind::kRegressed), 1u);
+  // At a threshold past the rise, the same pair is flat.
+  EXPECT_FALSE(
+      ComparePerfRecords(prev, ParsePerfRecord(Report(slower)), 2.0)
+          .HasRegression());
+
+  const std::string table = RenderRecordDiffTable(same);
+  EXPECT_NE(table.find("1 regressed"), std::string::npos);
+  EXPECT_NE(table.find("1 listed"), std::string::npos);
+}
+
+TEST(RecordTest, AddedAndRemovedEntriesNeverGate) {
+  perfbench::Metrics fewer = SampleMetrics();
+  fewer.erase("p50_us");
+  fewer.erase("host_ref_us_per_op");
+  perfbench::Metrics more = SampleMetrics();
+  more["p99_us"] = {900, "sim_us", perfbench::Kind::kModeled, "1 request", 1};
+  const PerfRecord all = ParsePerfRecord(Report(SampleMetrics()));
+  const RecordDiff removed =
+      ComparePerfRecords(all, ParsePerfRecord(Report(fewer)), 0);
+  EXPECT_EQ(removed.Count(RecordDiffKind::kRemoved), 2u);
+  EXPECT_FALSE(removed.HasRegression());
+  const RecordDiff added =
+      ComparePerfRecords(all, ParsePerfRecord(Report(more)), 0);
+  EXPECT_EQ(Entry(added, "p99_us").kind, RecordDiffKind::kAdded);
+  EXPECT_FALSE(added.HasRegression());
+}
+
+TEST(RecordTest, RejectsMalformedRecordsAndMismatchedWorkloads) {
+  EXPECT_THROW(ParsePerfRecord("not json"), MalformedInput);
+  EXPECT_THROW(ParsePerfRecord("{}"), MalformedInput);
+  const std::string good = Report(SampleMetrics());
+  const std::string kind = "\"kind\": \"modeled\", ";
+  ASSERT_NE(good.find(kind), std::string::npos);
+  std::string no_kind = good;
+  no_kind.erase(no_kind.find(kind), kind.size());
+  EXPECT_THROW(ParsePerfRecord(no_kind), MalformedInput);
+  std::string bad_kind = good;
+  bad_kind.replace(bad_kind.find(kind), kind.size(),
+                   "\"kind\": \"guessed\", ");
+  EXPECT_THROW(ParsePerfRecord(bad_kind), MalformedInput);
+  perfbench::Metrics nan = SampleMetrics();
+  nan["p50_us"].value = std::nan("");  // the writer renders it as null
+  EXPECT_THROW(ParsePerfRecord(Report(nan)), MalformedInput);
+
+  const PerfRecord serve = ParsePerfRecord(good);
+  const PerfRecord overload =
+      ParsePerfRecord(Report(SampleMetrics(), "cpu-a", "overload"));
+  EXPECT_THROW(ComparePerfRecords(serve, overload), InvalidArgument);
 }
 
 // ---------------------------------------------------- reservoir histogram

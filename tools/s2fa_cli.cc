@@ -72,10 +72,13 @@
 //       --profile-out dumps the raw spans as a Chrome trace-event file
 //       (load in chrome://tracing or Perfetto).
 //   s2fa perf-diff <old.json> <new.json> [--threshold P]
-//       Compare two perf ledgers (written by bench_micro_components /
-//       bench_serving) and classify each benchmark improved/flat/regressed
-//       at the given threshold (fraction, default 0.10). Exits 1 when any
-//       benchmark regressed by at least the threshold — the CI perf gate.
+//       Compare two performance records of one workload (a bench
+//       harness's <bench>.record.json or a perfbench report; obs/ledger.h).
+//       Modeled and exact entries must be equal at any threshold; measured
+//       time and memory entries regress on a rise past the threshold
+//       (fraction, default 0.10), and only between records of the same
+//       host. Exits 1 on a regression, 2 on records of different
+//       workloads — the CI perf gate.
 //
 // Global flags: --trace-out FILE --metrics-out FILE (enable the obs layer
 // and dump the span trace / aggregated summary), --log-level LEVEL.
@@ -137,7 +140,9 @@ class UsageError : public std::runtime_error {
 };
 
 // Strict numeric parsers: the whole string must be the number (no trailing
-// junk), so a typo'd value fails fast instead of silently truncating.
+// junk), so a typo'd value fails fast instead of silently truncating. A
+// non-finite double (nan, inf) is rejected too: it slips past every range
+// check.
 std::optional<std::size_t> ParseSizeStrict(const std::string& text) {
   std::size_t value = 0;
   const char* end = text.data() + text.size();
@@ -150,7 +155,9 @@ std::optional<double> ParseDoubleStrict(const std::string& text) {
   if (text.empty()) return std::nullopt;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 
@@ -1275,16 +1282,25 @@ int CmdPerfDiff(const Args& args) {
     }
     threshold = *parsed;
   }
-  obs::PerfLedger prev = obs::LoadLedgerFile(args.positional[1]);
-  obs::PerfLedger next = obs::LoadLedgerFile(args.positional[2]);
-  std::printf("comparing %s (rev %s) -> %s (rev %s)\n",
-              args.positional[1].c_str(), prev.git_rev.c_str(),
-              args.positional[2].c_str(), next.git_rev.c_str());
-  obs::LedgerDiff diff = obs::ComparePerfLedgers(prev, next, threshold);
-  std::printf("%s", obs::RenderLedgerDiffTable(diff).c_str());
+  const obs::PerfRecord prev = obs::LoadPerfRecord(args.positional[1]);
+  const obs::PerfRecord next = obs::LoadPerfRecord(args.positional[2]);
+  std::printf("comparing %s (%s) -> %s (%s), workload %s\n",
+              args.positional[1].c_str(), prev.source.c_str(),
+              args.positional[2].c_str(), next.source.c_str(),
+              next.workload.c_str());
+  obs::RecordDiff diff;
+  try {
+    diff = obs::ComparePerfRecords(prev, next, threshold);
+  } catch (const InvalidArgument& e) {
+    throw UsageError(e.what());
+  }
+  std::printf("%s", obs::RenderRecordDiffTable(diff).c_str());
   if (diff.HasRegression()) {
-    std::fprintf(stderr, "perf-diff: FAIL — regression past the %.0f%% "
-                 "threshold\n", threshold * 100);
+    std::fprintf(stderr,
+                 "perf-diff: FAIL — %zu regressed (a modeled or exact value "
+                 "moved, or a measured one rose past %g%%)\n",
+                 diff.Count(obs::RecordDiffKind::kRegressed),
+                 threshold * 100);
     return 1;
   }
   return 0;
